@@ -419,6 +419,7 @@ func BenchmarkTable10_UltrixMprotect(b *testing.B) {
 // --- Table 11 / Figure 2: network round trips -----------------------------
 
 func benchRoundTrip(b *testing.B, ash bool, spinners int) {
+	b.ReportAllocs()
 	seg := ether.NewSegment()
 	ma, ka := newAegis()
 	mb, kb := newAegis()

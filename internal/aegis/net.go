@@ -83,6 +83,37 @@ type ASH struct {
 	Budget   int    // static step bound from the verifier
 	Sandbox  uint32 // physical base of the handler's scratch region
 	SandMask uint32
+
+	// runner is the handler's interpreter, built on its first run and
+	// reused by every later one; nil while a run is in progress.
+	runner *ashRunner
+}
+
+// ashRunner is the execution state one ASH run needs: an interpreter in
+// ASH mode, its message context, and the span of the run in progress
+// (the bound Xmit stamps replies with it).
+type ashRunner struct {
+	in   *vm.Interp
+	ctx  vm.ASHContext
+	span ktrace.SpanRef
+}
+
+// newASHRunner builds the interpreter and message context for a handler.
+func (k *Kernel) newASHRunner(a *ASH) *ashRunner {
+	r := &ashRunner{ctx: vm.ASHContext{
+		SandboxBase: a.Sandbox,
+		SandboxMask: a.SandMask,
+		Phys:        k.M.Phys,
+	}}
+	r.ctx.Xmit = func(data []byte) {
+		if k.TraceStamp != nil && r.span.Ctx().Valid() {
+			k.TraceStamp(data, r.span.Ctx())
+		}
+		k.M.NIC.Send(hw.Packet{Data: data})
+	}
+	r.in = &vm.Interp{M: k.M, Src: vm.FixedCode(a.Code), ASH: &r.ctx}
+	r.in.SetCode(a.Code)
+	return r
 }
 
 // InstallASH verifies handler code (inspection + sandboxing) and attaches
@@ -115,6 +146,9 @@ func (k *Kernel) InstallASH(ep *Endpoint, code isa.Code, frame uint32, guard cap
 // serviceNIC drains the receive ring, classifying and delivering each
 // frame. It runs in interrupt context: ASHs execute immediately; plain
 // endpoints get the frame queued/copied for when their owner is scheduled.
+// Each frame is read in place from the NIC's receive buffer, which goes
+// back to the NIC once delivery is done; every delivery path that keeps
+// the message copies it first.
 func (k *Kernel) serviceNIC() {
 	for {
 		pkt, ok := k.M.NIC.Recv()
@@ -122,6 +156,7 @@ func (k *Kernel) serviceNIC() {
 			return
 		}
 		k.deliver(pkt.Data)
+		k.M.NIC.Release(pkt)
 	}
 }
 
@@ -219,25 +254,25 @@ func (k *Kernel) runASH(ep *Endpoint, frame []byte) {
 	savedMode := cpu.Mode
 	k.charge(8) // handler entry: set up the message context
 
-	ashInterp := vm.New(k.M, vm.FixedCode(ep.ASH.Code))
-	ashInterp.ASH = &vm.ASHContext{
-		Packet:      frame,
-		SandboxBase: ep.ASH.Sandbox,
-		SandboxMask: ep.ASH.SandMask,
-		Phys:        k.M.Phys,
-		Xmit: func(data []byte) {
-			if k.TraceStamp != nil && ash.Ctx().Valid() {
-				k.TraceStamp(data, ash.Ctx())
-			}
-			k.M.NIC.Send(hw.Packet{Data: data})
-		},
+	// Take the handler's runner for the duration of the run; a nested
+	// run of the same handler (none is expected: handlers run with
+	// interrupts off) finds it gone and builds its own.
+	r := ep.ASH.runner
+	if r == nil {
+		r = k.newASHRunner(ep.ASH)
 	}
+	ep.ASH.runner = nil
+	r.ctx.Packet = frame
+	r.ctx.Sent = 0
+	r.span = ash
 	savedIntr := cpu.IntrOn
 	cpu.Regs = [hw.NumRegs]uint32{}
 	cpu.PC = 0
 	cpu.Mode = hw.ModeKernel
 	cpu.IntrOn = false // handlers run at interrupt level
-	ashInterp.Run(uint64(ep.ASH.Budget))
+	r.in.Run(uint64(ep.ASH.Budget))
+	r.ctx.Packet = nil // the frame goes back to the NIC after delivery
+	ep.ASH.runner = r
 
 	cpu.Regs = savedRegs
 	cpu.PC = savedPC

@@ -1,10 +1,12 @@
 package aegis
 
 import (
+	"bytes"
 	"testing"
 
 	"exokernel/internal/asm"
 	"exokernel/internal/cap"
+	"exokernel/internal/ether"
 	"exokernel/internal/hw"
 	"exokernel/internal/isa"
 )
@@ -156,7 +158,8 @@ func TestASHRunsInInterruptContextAndReplies(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sent []hw.Packet
-	m.NIC.ConnectTx(func(p hw.Packet) { sent = append(sent, p) })
+	// Send borrows the frame only for the call: keep a copy.
+	m.NIC.ConnectTx(func(p hw.Packet) { sent = append(sent, hw.Packet{Data: bytes.Clone(p.Data)}) })
 
 	// Preserve the interrupted computation's registers.
 	m.CPU.SetReg(hw.RegT0, 0xAAAA)
@@ -179,6 +182,78 @@ func TestASHRunsInInterruptContextAndReplies(t *testing.T) {
 	// visible there (direct, dynamic message vectoring).
 	if got := m.Phys.ReadWord(frame << hw.PageShift); got != 0x03020107 {
 		t.Errorf("sandbox word = %#x", got)
+	}
+}
+
+// XMIT hands Xmit a scratch buffer that the next XMIT overwrites; every
+// receiver must still see the bytes of its own frame.
+func TestASHXmitTwiceEachFrameIntact(t *testing.T) {
+	m, k := boot(t)
+	peer := hw.NewMachine(hw.DEC5000)
+	seg := ether.NewSegment()
+	seg.Attach(m)
+	seg.Attach(peer)
+	a, _ := k.NewEnv(nil)
+	ep, _ := k.InstallFilter(a, byteFilter(7))
+	frame, guard, _ := k.AllocPage(a, AnyFrame)
+	code := asm.MustAssemble(`
+		addiu t1, zero, 4
+		pktlw t0, 0(zero)
+		sw    t0, 0(zero)
+		xmit  zero, t1
+		pktlw t0, 4(zero)
+		sw    t0, 0(zero)
+		xmit  zero, t1
+		halt
+	`)
+	if _, err := k.InstallASH(ep, code, frame, guard); err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 2; run++ { // the second run reuses the handler's interpreter
+		m.NIC.Deliver(hw.Packet{Data: []byte{7, 1, 2, 3, 4, 5, 6, byte(run)}})
+		for i, want := range [][]byte{{7, 1, 2, 3}, {4, 5, 6, byte(run)}} {
+			p, ok := peer.NIC.Recv()
+			if !ok || !bytes.Equal(p.Data, want) {
+				t.Fatalf("run %d frame %d = %v, want %v", run, i, p.Data, want)
+			}
+		}
+	}
+	if k.Stats.ASHRuns != 2 {
+		t.Errorf("ASHRuns = %d", k.Stats.ASHRuns)
+	}
+}
+
+// Interrupt entry leaves interrupts enabled, so a frame arriving while a
+// delivery hook runs is serviced by a nested serviceNIC. The nested
+// delivery must never be handed the receive buffer the outer one still
+// reads.
+func TestNestedServiceNICKeepsOuterFrame(t *testing.T) {
+	m, k := boot(t)
+	a, _ := k.NewEnv(nil)
+	ep, _ := k.InstallFilter(a, byteFilter(5))
+	// Warm the NIC's free list with released buffers.
+	m.NIC.Deliver(hw.Packet{Data: []byte{9, 0, 0, 0}})
+	m.NIC.Deliver(hw.Packet{Data: []byte{9, 0, 0, 0}})
+	var inner []byte
+	nested := false
+	ep.Deliver = func(k *Kernel, frame []byte) {
+		if nested {
+			inner = bytes.Clone(frame)
+			return
+		}
+		nested = true
+		want := bytes.Clone(frame)
+		m.NIC.Deliver(hw.Packet{Data: []byte{5, 0xBB, 0xBB, 0xBB}})
+		if inner == nil {
+			t.Fatal("no nested delivery: interrupts were masked")
+		}
+		if !bytes.Equal(frame, want) {
+			t.Errorf("outer frame overwritten by nested delivery: %v, want %v", frame, want)
+		}
+	}
+	m.NIC.Deliver(hw.Packet{Data: []byte{5, 1, 2, 3}})
+	if !bytes.Equal(inner, []byte{5, 0xBB, 0xBB, 0xBB}) {
+		t.Errorf("nested frame = %v", inner)
 	}
 }
 

@@ -71,7 +71,9 @@ func (s *Segment) Attach(m *hw.Machine) {
 // broadcast delivers a frame to every other machine on the segment,
 // advancing receiver clocks to the causal arrival time. With a fault
 // layer attached the frame may instead be dropped, duplicated, held back
-// behind later frames, or delivered with one byte flipped.
+// behind later frames, or delivered with one byte flipped. p is only
+// borrowed for the call (hw.NIC.Send), so a frame that is corrupted or
+// held is copied first.
 func (s *Segment) broadcast(from *hw.Machine, p hw.Packet) {
 	if s.Drop != nil && s.Drop(from, p.Data) {
 		s.Dropped++
@@ -133,7 +135,8 @@ func (s *Segment) releaseHeld(flush bool) {
 	}
 }
 
-// deliver hands one frame to every machine except the sender.
+// deliver hands one frame to every machine except the sender. Each NIC
+// copies the frame into its own receive ring, so data stays the sender's.
 func (s *Segment) deliver(from *hw.Machine, data []byte, arrival uint64) {
 	for _, m := range s.machines {
 		if m == from {
@@ -142,9 +145,7 @@ func (s *Segment) deliver(from *hw.Machine, data []byte, arrival uint64) {
 		if m.Clock.Cycles() < arrival {
 			m.Clock.Tick(arrival - m.Clock.Cycles())
 		}
-		buf := make([]byte, len(data))
-		copy(buf, data)
-		m.NIC.Deliver(hw.Packet{Data: buf})
+		m.NIC.Deliver(hw.Packet{Data: data})
 		s.Frames++
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"exokernel/internal/aegis"
 	"exokernel/internal/dpf"
+	"exokernel/internal/fifo"
 	"exokernel/internal/hw"
 	"exokernel/internal/ktrace"
 	"exokernel/internal/pkt"
@@ -68,7 +69,10 @@ type UDPSocket struct {
 	EP   *aegis.Endpoint
 	id   dpf.FilterID
 
-	rx []rxFrame
+	rx fifo.Queue[rxFrame]
+	// tx is the transmit scratch frame SendTo builds into; nil while a
+	// send is in flight, so a re-entrant SendTo builds a fresh one.
+	tx []byte
 	// Delivered counts frames copied into the socket buffer.
 	Delivered uint64
 }
@@ -127,15 +131,20 @@ func (s *UDPSocket) deliver(k *aegis.Kernel, frame []byte) {
 		k.Spans.End(rx, k.M.Clock.Cycles())
 		ctx = rx.Ctx()
 	}
-	s.rx = append(s.rx, rxFrame{flow: flow, payload: buf, ctx: ctx})
+	s.rx.Push(rxFrame{flow: flow, payload: buf, ctx: ctx})
 	s.Delivered++
 }
 
 // SendTo transmits payload to a destination. The header build and the copy
 // into the transmit buffer are application-level work, charged per word.
+// The frame is built in the socket's scratch buffer, which the NIC only
+// borrows for the send. Delivery is synchronous, so the send can re-enter
+// SendTo (a reply handled at interrupt level); the scratch is taken for
+// the duration, and the inner call builds its own frame.
 func (s *UDPSocket) SendTo(dstMAC pkt.Addr, dstIP uint32, dstPort uint16, payload []byte) {
 	f := pkt.Flow{Proto: pkt.ProtoUDP, SrcIP: s.Net.IP, DstIP: dstIP, SrcPort: s.Port, DstPort: dstPort}
-	frame := pkt.Build(dstMAC, s.Net.MAC, f, payload)
+	frame := pkt.BuildInto(s.tx, dstMAC, s.Net.MAC, f, payload)
+	s.tx = nil
 	var tx ktrace.SpanRef
 	if s.os.Env.Trace.Valid() {
 		tx = s.os.K.Spans.Begin(s.os.K.M.Clock.Cycles(), ktrace.SpanUDPTx, uint32(s.os.Env.ID), s.os.Env.Trace, uint64(len(payload)))
@@ -147,6 +156,7 @@ func (s *UDPSocket) SendTo(dstMAC pkt.Addr, dstIP uint32, dstPort uint16, payloa
 	// (an ASH reply), which is wire time, not transmit work.
 	s.os.K.Spans.End(tx, s.os.K.M.Clock.Cycles())
 	s.os.K.M.NIC.Send(hw.Packet{Data: frame})
+	s.tx = frame
 }
 
 // TryRecv returns the next received payload without blocking. The drain
@@ -154,11 +164,10 @@ func (s *UDPSocket) SendTo(dstMAC pkt.Addr, dstIP uint32, dstPort uint16, payloa
 // the caller's buffer.
 func (s *UDPSocket) TryRecv() ([]byte, pkt.Flow, bool) {
 	s.os.K.M.Clock.Tick(8) // queue check + header bookkeeping
-	if len(s.rx) == 0 {
+	fr, ok := s.rx.Pop()
+	if !ok {
 		return nil, pkt.Flow{}, false
 	}
-	fr := s.rx[0]
-	s.rx = s.rx[1:]
 	var rv ktrace.SpanRef
 	if fr.ctx.Valid() {
 		rv = s.os.K.Spans.Begin(s.os.K.M.Clock.Cycles(), ktrace.SpanRecv, uint32(s.os.Env.ID), fr.ctx, uint64(len(fr.payload)))
@@ -199,4 +208,4 @@ func (s *UDPSocket) AttachEchoASH() error {
 }
 
 // Pending reports how many received payloads await the application.
-func (s *UDPSocket) Pending() int { return len(s.rx) }
+func (s *UDPSocket) Pending() int { return s.rx.Len() }

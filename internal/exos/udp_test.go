@@ -2,10 +2,14 @@ package exos
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
+	"sort"
 	"testing"
 
 	"exokernel/internal/aegis"
 	"exokernel/internal/ether"
+	"exokernel/internal/fault"
 	"exokernel/internal/hw"
 	"exokernel/internal/pkt"
 	"exokernel/internal/sandbox"
@@ -182,5 +186,149 @@ func TestUDPSocketClose(t *testing.T) {
 	}
 	if err := sb.Close(); err == nil {
 		t.Error("double close succeeded")
+	}
+}
+
+// Steady-state round trips allocate only the payload copy TryRecv hands
+// to each receiving application: one on the ASH path (the client's), two
+// on the app path (the server's and the client's).
+func TestUDPRoundTripAllocs(t *testing.T) {
+	payload := bytes.Repeat([]byte{0x5A}, 18)
+	t.Run("echo-ash", func(t *testing.T) {
+		_, _, _, _, sa, sb := twoMachines(t)
+		if err := sb.AttachEchoASH(); err != nil {
+			t.Fatal(err)
+		}
+		op := func() {
+			sa.SendTo(tMacB, tIPB, 7, payload)
+			if data, _, ok := sa.TryRecv(); !ok || !bytes.Equal(data, payload) {
+				t.Fatalf("echo = %v, %v", data, ok)
+			}
+		}
+		op()
+		if n := testing.AllocsPerRun(100, op); n > 1 {
+			t.Errorf("echo-ASH round trip allocates %v times, want <= 1", n)
+		}
+	})
+	t.Run("app-echo", func(t *testing.T) {
+		_, kb, _, _, sa, sb := twoMachines(t)
+		sb.os.Env.NativeRun = func(k *aegis.Kernel) {
+			for {
+				data, flow, ok := sb.TryRecv()
+				if !ok {
+					return
+				}
+				sb.SendTo(tMacA, flow.SrcIP, flow.SrcPort, data)
+			}
+		}
+		op := func() {
+			sa.SendTo(tMacB, tIPB, 7, payload)
+			for sa.Pending() == 0 {
+				if !kb.DispatchNative() {
+					t.Fatal("reply lost")
+				}
+			}
+			if data, _, ok := sa.TryRecv(); !ok || !bytes.Equal(data, payload) {
+				t.Fatalf("echo = %v, %v", data, ok)
+			}
+		}
+		op()
+		if n := testing.AllocsPerRun(100, op); n > 2 {
+			t.Errorf("app-echo round trip allocates %v times, want <= 2", n)
+		}
+	})
+}
+
+// peerPayloads drains a bare machine's receive ring and returns the UDP
+// payloads of the frames sent from ip, in arrival order.
+func peerPayloads(m *hw.Machine, ip uint32) []string {
+	var out []string
+	for {
+		p, ok := m.NIC.Recv()
+		if !ok {
+			return out
+		}
+		if f, ok := pkt.ParseFlow(p.Data); ok && f.SrcIP == ip {
+			out = append(out, string(pkt.Payload(p.Data)))
+		}
+		m.NIC.Release(p)
+	}
+}
+
+// SendTo builds into a scratch frame that the NIC only borrows. A SendTo
+// re-entered from inside a delivery (the echo ASH on B replies while A's
+// first frame is still on its way to C) must not overwrite the frame
+// still in flight.
+func TestUDPSendToReentrantFromDelivery(t *testing.T) {
+	ka, kb, _, _, sa, sb := twoMachines(t)
+	c := hw.NewMachine(hw.DEC5000)
+	seg := ether.NewSegment() // attach order A, B, C: B answers before C hears
+	seg.Attach(ka.M)
+	seg.Attach(kb.M)
+	seg.Attach(c)
+	if err := sb.AttachEchoASH(); err != nil {
+		t.Fatal(err)
+	}
+	first, second := "first-frame-000000", "second-frame-11111"
+	sa.SendTo(tMacB, tIPB, 9, []byte("warm-the-scratch!!")) // nobody listens on 9
+	peerPayloads(c, tIPA)
+	deliver := sa.EP.Deliver
+	resent := false
+	sa.EP.Deliver = func(k *aegis.Kernel, frame []byte) {
+		deliver(k, frame)
+		if !resent {
+			resent = true
+			sa.SendTo(tMacB, tIPB, 9, []byte(second))
+		}
+	}
+	sa.SendTo(tMacB, tIPB, 7, []byte(first))
+	if !resent {
+		t.Fatal("the echo never reached A's delivery hook")
+	}
+	got := peerPayloads(c, tIPA)
+	if len(got) != 2 || got[0] != second || got[1] != first {
+		t.Errorf("C received %q, want [%q %q]", got, second, first)
+	}
+}
+
+// scriptedWire replays a fixed verdict per frame; later frames pass
+// intact.
+type scriptedWire []fault.WireVerdict
+
+func (w *scriptedWire) FrameFate([]byte) fault.WireVerdict {
+	if len(*w) == 0 {
+		return fault.WireVerdict{CorruptOff: -1}
+	}
+	v := (*w)[0]
+	*w = (*w)[1:]
+	return v
+}
+
+// A frame the wire holds back, duplicates or corrupts must not alias the
+// socket's scratch frame, which the next SendTo rebuilds.
+func TestUDPFaultedFramesSurviveNextSend(t *testing.T) {
+	ka, _, _, _, sa, _ := twoMachines(t)
+	peer := hw.NewMachine(hw.DEC5000)
+	seg := ether.NewSegment()
+	seg.Attach(ka.M)
+	seg.Attach(peer)
+	seg.Fault = &scriptedWire{
+		{Hold: true, CorruptOff: -1},
+		{Dup: true, CorruptOff: -1},
+		{Hold: true, CorruptOff: pkt.UDPPayload, CorruptXor: 0x20},
+	}
+	var sent []string
+	for i := 0; i < 5; i++ {
+		p := fmt.Sprintf("payload-number-%03d", i)
+		sent = append(sent, p)
+		sa.SendTo(pkt.Addr{}, tIPB, 7, []byte(p))
+	}
+	seg.Sync()
+	got := peerPayloads(peer, tIPA)
+	want := []string{sent[1], sent[1], sent[0], "Payload-number-002", sent[3], sent[4]}
+	sort.Strings(got)
+	sort.Strings(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("peer received %q, want %q", got, want)
 	}
 }

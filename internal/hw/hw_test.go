@@ -1,6 +1,9 @@
 package hw
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 func TestClockStopwatch(t *testing.T) {
 	var c Clock
@@ -324,6 +327,51 @@ func TestNICDeliverRecvAndDrop(t *testing.T) {
 	}
 }
 
+// Deliver copies its input, a received frame stays the receiver's until
+// Release, and a released buffer is the one the next delivery reuses.
+func TestNICReceiveBufferOwnership(t *testing.T) {
+	m := NewMachine(DEC5000)
+	src := []byte{1, 2, 3}
+	m.NIC.Deliver(Packet{Data: src})
+	src[0] = 9
+	p, _ := m.NIC.Recv()
+	if p.Data[0] != 1 {
+		t.Fatal("Deliver kept the sender's buffer instead of copying it")
+	}
+	m.NIC.Release(p)
+	m.NIC.Deliver(Packet{Data: []byte{4, 5}})
+	q, _ := m.NIC.Recv()
+	if &q.Data[0] != &p.Data[0] || !bytes.Equal(q.Data, []byte{4, 5}) {
+		t.Fatalf("released buffer not reused: got %v", q.Data)
+	}
+	m.NIC.Deliver(Packet{Data: []byte{6}})
+	r, _ := m.NIC.Recv()
+	if &r.Data[0] == &q.Data[0] || q.Data[0] != 4 {
+		t.Fatal("a buffer still held by the receiver was handed out again")
+	}
+}
+
+// Once warm, the receive path allocates nothing.
+func TestNICReceiveSteadyStateAllocs(t *testing.T) {
+	m := NewMachine(DEC5000)
+	frame := make([]byte, 84)
+	cycle := func() {
+		m.NIC.Deliver(Packet{Data: frame})
+		m.NIC.Deliver(Packet{Data: frame})
+		for {
+			p, ok := m.NIC.Recv()
+			if !ok {
+				break
+			}
+			m.NIC.Release(p)
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("Deliver/Recv/Release allocates %v times per cycle", n)
+	}
+}
+
 func TestNICImmediateInterrupt(t *testing.T) {
 	m := NewMachine(DEC5000)
 	h := &recordingHandler{}
@@ -346,7 +394,8 @@ func TestNICImmediateInterrupt(t *testing.T) {
 func TestNICSendChargesAndForwards(t *testing.T) {
 	m := NewMachine(DEC5000)
 	var sent []Packet
-	m.NIC.ConnectTx(func(p Packet) { sent = append(sent, p) })
+	// Send borrows the frame only for the call: keep a copy.
+	m.NIC.ConnectTx(func(p Packet) { sent = append(sent, Packet{Data: bytes.Clone(p.Data)}) })
 	before := m.Clock.Cycles()
 	m.NIC.Send(Packet{Data: make([]byte, 60)})
 	if len(sent) != 1 {

@@ -1,5 +1,7 @@
 package hw
 
+import "exokernel/internal/fifo"
+
 // Packet is one frame on the wire. Payload layout is up to the protocols
 // (the kernel treats it as opaque bytes; packet filters inspect it).
 type Packet struct {
@@ -17,10 +19,20 @@ type NICFault interface {
 // transmit hook connected to an Ethernet segment (internal/ether). Receive
 // raises IRQNIC; the kernel demultiplexes with packet filters and copies
 // the payload wherever the owning application (or its ASH) directs.
+//
+// Buffer ownership, which lets a steady stream of frames move without
+// allocating:
+//   - Send borrows its frame only for the duration of the call; the
+//     transmit hook must copy anything it keeps.
+//   - Deliver copies its input (the DMA into the receive ring), into a
+//     buffer from the NIC's own free list.
+//   - A frame returned by Recv stays valid until the receiver hands it
+//     back with Release, once; the NIC then reuses the buffer.
 type NIC struct {
-	m  *Machine
-	rx []Packet
-	tx func(Packet)
+	m    *Machine
+	rx   fifo.Queue[Packet]
+	free [][]byte // released receive buffers, reused by Deliver
+	tx   func(Packet)
 
 	// Fault, when non-nil, injects receive-queue pressure.
 	Fault NICFault
@@ -40,25 +52,28 @@ func NewNIC(m *Machine) *NIC { return &NIC{m: m, rxLimit: 64} }
 // ConnectTx installs the transmit hook (set by the Ethernet segment).
 func (n *NIC) ConnectTx(tx func(Packet)) { n.tx = tx }
 
-// Deliver places a packet arriving from the wire into the receive ring and
-// asserts the NIC interrupt. Packets beyond the ring depth are dropped, as
-// real hardware would. If interrupts are enabled the interrupt preempts
-// immediately — this is what lets an ASH reply without anyone being
-// scheduled; when the kernel is running with interrupts masked (e.g.
-// inside an ASH), the pending bit is picked up at the next poll.
+// Deliver places a copy of a packet arriving from the wire into the
+// receive ring and asserts the NIC interrupt; the caller keeps p. Packets
+// beyond the ring depth are dropped, as real hardware would. If
+// interrupts are enabled the interrupt preempts immediately — this is
+// what lets an ASH reply without anyone being scheduled; when the kernel
+// is running with interrupts masked (e.g. inside an ASH), the pending bit
+// is picked up at the next poll.
 func (n *NIC) Deliver(p Packet) {
 	limit := n.rxLimit
 	if n.Fault != nil {
 		limit -= n.Fault.RxPressure()
 	}
-	if len(n.rx) >= limit {
+	if n.rx.Len() >= limit {
 		n.RxDropped++
 		if n.OnDrop != nil {
 			n.OnDrop()
 		}
 		return
 	}
-	n.rx = append(n.rx, p)
+	buf := n.rxBuffer(len(p.Data))
+	copy(buf, p.Data)
+	n.rx.Push(Packet{Data: buf})
 	n.RxCount++
 	n.m.CPU.Pending |= IRQNIC
 	if n.m.CPU.IntrOn && n.m.handler != nil {
@@ -66,26 +81,47 @@ func (n *NIC) Deliver(p Packet) {
 	}
 }
 
-// Pending reports how many received packets await the kernel.
-func (n *NIC) Pending() int { return len(n.rx) }
-
-// Recv removes the next received packet. The kernel pays the per-word DMA
-// copy cost when it moves the payload into application memory, not here.
-func (n *NIC) Recv() (Packet, bool) {
-	if len(n.rx) == 0 {
-		return Packet{}, false
+// rxBuffer takes a receive buffer of size bytes from the free list,
+// replacing a released buffer that is too small with a fresh one.
+func (n *NIC) rxBuffer(size int) []byte {
+	if k := len(n.free); k > 0 {
+		b := n.free[k-1]
+		n.free = n.free[:k-1]
+		if cap(b) >= size {
+			return b[:size]
+		}
 	}
-	p := n.rx[0]
-	n.rx = n.rx[1:]
-	if len(n.rx) == 0 {
+	return make([]byte, size)
+}
+
+// Pending reports how many received packets await the kernel.
+func (n *NIC) Pending() int { return n.rx.Len() }
+
+// Recv removes the next received packet. Its buffer belongs to the NIC:
+// the receiver reads it in place and returns it with Release. The kernel
+// pays the per-word DMA copy cost when it moves the payload into
+// application memory, not here.
+func (n *NIC) Recv() (Packet, bool) {
+	p, ok := n.rx.Pop()
+	if ok && n.rx.Len() == 0 {
 		n.m.CPU.Pending &^= IRQNIC
 	}
-	return p, true
+	return p, ok
+}
+
+// Release returns a packet obtained from Recv to the NIC's free list. The
+// caller must not touch p.Data afterwards, nor release it twice.
+func (n *NIC) Release(p Packet) {
+	if cap(p.Data) > 0 {
+		n.free = append(n.free, p.Data)
+	}
 }
 
 // Send transmits a packet onto the wire. Charges the per-word cost of
 // copying the frame into the transmit buffer (the paper: "messages are
-// simply copied from application space into a transmit buffer").
+// simply copied from application space into a transmit buffer"). The
+// frame is borrowed only for the call: the sender may reuse it as soon as
+// Send returns.
 func (n *NIC) Send(p Packet) {
 	words := (len(p.Data) + WordSize - 1) / WordSize
 	n.m.Clock.Tick(uint64(words) * CostMemWord)

@@ -41,11 +41,27 @@ type Flow struct {
 // trailer (TraceOptLen bytes past the IP datagram; see traceopt.go) so
 // frame length never depends on whether a trace is active.
 func Build(dst, src Addr, f Flow, payload []byte) []byte {
+	return BuildInto(nil, dst, src, f, payload)
+}
+
+// BuildInto is Build composing the frame in buf's backing array when it
+// has the capacity, allocating a new one otherwise; it returns the frame.
+// Every byte of the frame is written, so buf's old contents never leak.
+// A sender that reuses one buffer for every frame must keep it until the
+// send returns: hw.NIC.Send borrows the frame only for the call.
+func BuildInto(buf []byte, dst, src Addr, f Flow, payload []byte) []byte {
 	hlen := EtherLen + IPLen + UDPLen
 	if f.Proto == ProtoTCP {
 		hlen = EtherLen + IPLen + TCPLen
 	}
-	b := make([]byte, hlen+len(payload)+TraceOptLen)
+	n := hlen + len(payload) + TraceOptLen
+	var b []byte
+	if cap(buf) >= n {
+		b = buf[:n]
+		clear(b)
+	} else {
+		b = make([]byte, n)
+	}
 	copy(b[0:6], dst[:])
 	copy(b[6:12], src[:])
 	binary.BigEndian.PutUint16(b[EtherType:], TypeIP)

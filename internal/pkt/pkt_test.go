@@ -107,3 +107,33 @@ func TestQuickRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Property: building into a dirty reused buffer yields exactly the bytes
+// Build produces, and reuses the buffer when it is large enough.
+func TestQuickBuildIntoMatchesBuild(t *testing.T) {
+	f := func(srcP, dstP uint16, tcp bool, payload, junk []byte) bool {
+		fl := sampleFlow()
+		fl.SrcPort, fl.DstPort = srcP, dstP
+		if tcp {
+			fl.Proto = ProtoTCP
+		}
+		want := Build(Addr{9}, Addr{8}, fl, payload)
+		buf := bytes.Repeat([]byte{0xA5}, len(junk)+len(want))
+		got := BuildInto(buf[:len(junk)], Addr{9}, Addr{8}, fl, payload)
+		return bytes.Equal(got, want) && &got[0] == &buf[0]
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestBuildIntoSmallBufferAllocates(t *testing.T) {
+	small := make([]byte, 4)
+	frame := BuildInto(small, Addr{1}, Addr{2}, sampleFlow(), []byte("payload"))
+	if !bytes.Equal(frame, Build(Addr{1}, Addr{2}, sampleFlow(), []byte("payload"))) {
+		t.Fatal("frame differs from Build")
+	}
+	if &frame[0] == &small[0] {
+		t.Fatal("frame overran a too-small buffer")
+	}
+}

@@ -121,7 +121,8 @@ func (s *Socket) TryRecv() ([]byte, pkt.Flow, bool) {
 // netInput is the kernel's receive processing: for each frame, protocol
 // input, PCB lookup, a copy into the matching socket buffer, and a wakeup.
 // There are no application filters — demultiplexing is hardwired protocol
-// knowledge in the kernel.
+// knowledge in the kernel. Each frame goes back to the NIC once it has
+// been copied into its socket buffer.
 func (k *Kernel) netInput() {
 	for {
 		p, ok := k.M.NIC.Recv()
@@ -129,21 +130,28 @@ func (k *Kernel) netInput() {
 			return
 		}
 		k.Stats.PktRx++
-		flow, ok := pkt.ParseFlow(p.Data)
-		if !ok || flow.Proto != pkt.ProtoUDP {
-			continue
-		}
-		k.charge(costUDPIn)
-		for _, s := range k.sockets {
-			if s.Port == flow.DstPort {
-				buf := make([]byte, len(p.Data))
-				copy(buf, p.Data)
-				k.charge(uint64((len(p.Data) + 3) / 4)) // sbappend copy
-				s.rx = append(s.rx, buf)
-				s.Delivered++
-				k.charge(costWakeup)
-				break
-			}
+		k.udpInput(p.Data)
+		k.M.NIC.Release(p)
+	}
+}
+
+// udpInput appends one received frame to the socket bound to its
+// destination port, if it is UDP and such a socket exists.
+func (k *Kernel) udpInput(frame []byte) {
+	flow, ok := pkt.ParseFlow(frame)
+	if !ok || flow.Proto != pkt.ProtoUDP {
+		return
+	}
+	k.charge(costUDPIn)
+	for _, s := range k.sockets {
+		if s.Port == flow.DstPort {
+			buf := make([]byte, len(frame))
+			copy(buf, frame)
+			k.charge(uint64((len(frame) + 3) / 4)) // sbappend copy
+			s.rx = append(s.rx, buf)
+			s.Delivered++
+			k.charge(costWakeup)
+			return
 		}
 	}
 }

@@ -62,9 +62,15 @@ type ASHContext struct {
 	SandboxBase uint32 // physical base of the handler's scratch region
 	SandboxMask uint32 // region size - 1 (size is a power of two)
 	Phys        *hw.PhysMem
-	Xmit        func([]byte)
+	// Xmit transmits one frame, which it borrows only for the call: the
+	// frame is the context's scratch buffer, and the next XMIT
+	// overwrites it. hw.NIC.Send borrows on the same terms, so Xmit may
+	// pass the frame straight on; anything it keeps, it must copy.
+	Xmit func([]byte)
 	// Sent counts frames transmitted by the handler.
 	Sent int
+
+	xmitBuf []byte // XMIT scratch, reused across XMITs and runs
 }
 
 // Interp is the instruction interpreter. One Interp drives one machine;
@@ -74,8 +80,9 @@ type Interp struct {
 	Src CodeSource
 
 	// ASH, when non-nil, enables the message primitives and redirects
-	// memory instructions through the sandbox. Set only by the kernel
-	// while executing a verified handler.
+	// memory instructions through the sandbox. Set only by the kernel,
+	// on the interpreter it keeps for a verified handler, before the
+	// handler's code is published with SetCode.
 	ASH *ASHContext
 
 	stop bool
@@ -128,7 +135,9 @@ func New(m *hw.Machine, src CodeSource) *Interp {
 func (in *Interp) SetCode(code isa.Code) {
 	in.code = code
 	in.direct = true
-	in.jitSetSeg(code)
+	if in.ASH == nil { // the JIT tier never runs a handler
+		in.jitSetSeg(code)
+	}
 }
 
 // RequestStop makes Run return StopRequested after the current instruction.
@@ -587,8 +596,11 @@ func (in *Interp) ashOp(inst isa.Inst) {
 		cpu.SetReg(inst.Rd, uint32(len(a.Packet)))
 	case isa.XMIT:
 		base := cpu.Reg(inst.Rs) & a.SandboxMask
-		n := cpu.Reg(inst.Rt) & a.SandboxMask
-		buf := make([]byte, n)
+		n := int(cpu.Reg(inst.Rt) & a.SandboxMask)
+		if cap(a.xmitBuf) < n {
+			a.xmitBuf = make([]byte, n)
+		}
+		buf := a.xmitBuf[:n]
 		a.Phys.CopyOut(buf, a.SandboxBase+base)
 		a.Sent++
 		if a.Xmit != nil {

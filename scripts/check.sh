@@ -22,6 +22,12 @@ fi
 echo "== go test -race ./..."
 go test -race ./...
 
+echo "== go -C cmd/exobench test ."
+# exobench is its own module, so the root go test ./... skips it; its
+# tests run every workload's inline output checks (echo payloads, FS
+# contents) and pin its metric names.
+go -C cmd/exobench test .
+
 echo "== bench smoke (BENCH JSON + benchdiff self-compare)"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
