@@ -171,96 +171,29 @@ type chromeTrace struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-// WriteChrome exports events in Chrome trace_event format. mhz converts
-// cycle stamps to microseconds (the trace_event time base); pass the
-// simulated machine's clock rate. Syscall enter/exit pairs become complete
-// ("X") duration slices; everything else is an instant event on the
-// responsible environment's track. Environment 0 is the kernel itself
-// (drops, decisions with no owner).
+// WriteChrome exports one machine's events in Chrome trace_event format:
+// WriteChromeMerged with that machine alone, so the process track is the
+// machine (pid 1) and each environment is a thread track under it (tid =
+// env; env 0 is the kernel itself — drops, decisions with no owner). mhz
+// converts cycle stamps to microseconds (the trace_event time base); pass
+// the simulated machine's clock rate.
 func WriteChrome(w io.Writer, events []Event, mhz float64) error {
-	if mhz <= 0 {
-		mhz = 1
+	sourced := make([]SourcedEvent, len(events))
+	for i, e := range events {
+		sourced[i] = SourcedEvent{Event: e}
 	}
-	us := func(cycle uint64) float64 { return float64(cycle) / mhz }
-
-	out := make([]chromeEvent, 0, len(events)+8)
-	envs := map[uint32]bool{}
-	// pending syscall-enter per env, to pair into "X" slices.
-	pending := map[uint32]Event{}
-
-	flushPending := func(env uint32) {
-		if enter, ok := pending[env]; ok {
-			// Unmatched enter (window edge): degrade to an instant.
-			out = append(out, chromeEvent{
-				Name: enter.Kind.String(), Ph: "i", Ts: us(enter.Cycle),
-				Pid: enter.Env, Tid: enter.Env, Scope: "t",
-				Args: map[string]any{"code": enter.Arg0, "cycle": enter.Cycle},
-			})
-			delete(pending, env)
-		}
-	}
-
-	for _, e := range events {
-		envs[e.Env] = true
-		switch e.Kind {
-		case KindSyscallEnter:
-			flushPending(e.Env)
-			pending[e.Env] = e
-		case KindSyscallExit:
-			if enter, ok := pending[e.Env]; ok && enter.Arg0 == e.Arg0 {
-				dur := us(e.Cycle) - us(enter.Cycle)
-				out = append(out, chromeEvent{
-					Name: fmt.Sprintf("syscall %d", e.Arg0), Ph: "X",
-					Ts: us(enter.Cycle), Dur: &dur,
-					Pid: e.Env, Tid: e.Env,
-					Args: map[string]any{"code": e.Arg0, "cycles": e.Cycle - enter.Cycle},
-				})
-				delete(pending, e.Env)
-				continue
-			}
-			fallthrough
-		default:
-			out = append(out, chromeEvent{
-				Name: e.Kind.String(), Ph: "i", Ts: us(e.Cycle),
-				Pid: e.Env, Tid: e.Env, Scope: "t",
-				Args: map[string]any{"arg0": e.Arg0, "arg1": e.Arg1, "arg2": e.Arg2, "cycle": e.Cycle},
-			})
-		}
-	}
-	for env := range pending {
-		flushPending(env)
-	}
-
-	// Stable metadata order keeps the output diffable.
-	ids := make([]uint32, 0, len(envs))
-	for env := range envs {
-		ids = append(ids, env)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	meta := make([]chromeEvent, 0, len(ids))
-	for _, env := range ids {
-		name := fmt.Sprintf("env %d", env)
-		if env == 0 {
-			name = "kernel"
-		}
-		meta = append(meta, chromeEvent{
-			Name: "process_name", Ph: "M", Pid: env, Tid: env,
-			Args: map[string]any{"name": name},
-		})
-	}
-
-	enc := json.NewEncoder(w)
-	return enc.Encode(chromeTrace{TraceEvents: append(meta, out...), DisplayTimeUnit: "ms"})
+	return WriteChromeMerged(w, sourced, []string{""}, mhz)
 }
 
 // WriteChromeMerged exports a merged multi-machine stream in Chrome
 // trace_event format with one process track per machine: pid = 1 + the
 // machine's index in machines, tid = the responsible environment. The
 // machines slice fixes the pid assignment (and the track order in the
-// UI); events whose Machine is not listed are dropped. Everything else
-// follows WriteChrome: syscall enter/exit pairs become complete slices,
-// the rest are instants, and the output is deterministic — the same
-// event stream always serializes to the same bytes.
+// UI); events whose Machine is not listed are dropped. Syscall
+// enter/exit pairs become complete ("X") slices (an enter left unmatched
+// at the window edge degrades to an instant), the rest are instants, and
+// the output is deterministic — the same event stream always serializes
+// to the same bytes.
 func WriteChromeMerged(w io.Writer, events []SourcedEvent, machines []string, mhz float64) error {
 	if mhz <= 0 {
 		mhz = 1
@@ -352,9 +285,13 @@ func WriteChromeMerged(w io.Writer, events []SourcedEvent, machines []string, mh
 	})
 	meta := make([]chromeEvent, 0, len(machines)+len(seen))
 	for i, name := range machines {
+		label := "machine " + name
+		if name == "" {
+			label = "machine" // the only machine of a WriteChrome trace
+		}
 		meta = append(meta, chromeEvent{
 			Name: "process_name", Ph: "M", Pid: uint32(i + 1),
-			Args: map[string]any{"name": "machine " + name},
+			Args: map[string]any{"name": label},
 		})
 	}
 	for _, tr := range seen {

@@ -132,9 +132,11 @@ func TestWriteJSONL(t *testing.T) {
 	}
 }
 
-// TestWriteChrome checks the export is valid Chrome trace_event JSON:
-// a traceEvents array whose entries all carry name/ph/ts/pid, with
-// syscall enter/exit pairs folded into complete ("X") slices.
+// TestWriteChrome checks the export is valid Chrome trace_event JSON in
+// the one-machine layout: every entry carries name/ph/ts/pid, the machine
+// is process 1 and each environment a thread under it, and syscall
+// enter/exit pairs fold into complete ("X") slices on the caller's
+// thread while an unmatched enter degrades to an instant.
 func TestWriteChrome(t *testing.T) {
 	var b bytes.Buffer
 	if err := WriteChrome(&b, sample(), 25); err != nil {
@@ -149,12 +151,16 @@ func TestWriteChrome(t *testing.T) {
 	if len(doc.TraceEvents) == 0 {
 		t.Fatal("no traceEvents")
 	}
-	var sawComplete, sawInstant, sawMeta bool
+	var sawComplete, sawUnmatched bool
+	meta := map[string]bool{}
 	for _, e := range doc.TraceEvents {
 		for _, key := range []string{"name", "ph", "pid"} {
 			if _, ok := e[key]; !ok {
 				t.Fatalf("event missing %q: %v", key, e)
 			}
+		}
+		if e["pid"].(float64) != 1 {
+			t.Errorf("pid = %v, want 1 (the machine): %v", e["pid"], e)
 		}
 		switch e["ph"] {
 		case "X":
@@ -166,13 +172,49 @@ func TestWriteChrome(t *testing.T) {
 			if ts := e["ts"].(float64); ts != 110.0/25 {
 				t.Errorf("X ts = %v, want %v", ts, 110.0/25)
 			}
+			if e["tid"].(float64) != 1 {
+				t.Errorf("X tid = %v, want env 1", e["tid"])
+			}
 		case "i":
-			sawInstant = true
+			if e["name"] == "syscall-enter" {
+				sawUnmatched = true
+				if e["tid"].(float64) != 2 {
+					t.Errorf("unmatched enter tid = %v, want env 2", e["tid"])
+				}
+			}
 		case "M":
-			sawMeta = true
+			meta[e["name"].(string)+"/"+e["args"].(map[string]any)["name"].(string)] = true
 		}
 	}
-	if !sawComplete || !sawInstant || !sawMeta {
-		t.Errorf("complete/instant/meta = %v/%v/%v, want all true", sawComplete, sawInstant, sawMeta)
+	if !sawComplete || !sawUnmatched {
+		t.Errorf("complete/unmatched-instant = %v/%v, want both", sawComplete, sawUnmatched)
+	}
+	for _, want := range []string{"process_name/machine", "thread_name/env 1", "thread_name/env 2"} {
+		if !meta[want] {
+			t.Errorf("missing metadata %q (have %v)", want, meta)
+		}
+	}
+}
+
+// TestWriteChromeDeterministicWindowEdge: enters left open at the window
+// edge by several environments must serialize in a fixed order, so the
+// same events always give the same bytes.
+func TestWriteChromeDeterministicWindowEdge(t *testing.T) {
+	var events []Event
+	for env := uint32(1); env <= 6; env++ {
+		events = append(events, Event{Cycle: 100 + uint64(env), Kind: KindSyscallEnter, Env: env, Arg0: uint64(env)})
+	}
+	var first bytes.Buffer
+	if err := WriteChrome(&first, events, 25); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		var b bytes.Buffer
+		if err := WriteChrome(&b, events, 25); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b.Bytes(), first.Bytes()) {
+			t.Fatalf("call %d serialized differently:\n%s\nfirst:\n%s", i+2, b.Bytes(), first.Bytes())
+		}
 	}
 }

@@ -13,12 +13,16 @@ import (
 // entry count its first PC would accumulate, and `hot` is exactly the
 // compile decision the tier would make at the given threshold.
 
-// CandidateMinLen mirrors vm's jitMinLen: runs shorter than this are
-// never compiled (the per-pass guards cost more than they save).
+// CandidateMinLen is the tier's minimum superblock length (vm uses this
+// constant): runs shorter than this are never compiled (the per-pass
+// guards cost more than they save) and stay interpreted.
 const CandidateMinLen = 2
 
-// CandidateDefaultThreshold mirrors vm's jitDefaultThreshold, the
-// block-entry count at which the tier compiles when no override is set.
+// CandidateDefaultThreshold is the block-entry count at which the tier
+// compiles when vm.Interp.JITThreshold is unset (vm uses this constant).
+// Entries are counted only on non-sequential transfers, so a loop head
+// reaches it after that many iterations. Compilation is cheap (operand
+// pre-decode, no codegen), so the threshold errs low.
 const CandidateDefaultThreshold = 16
 
 // Candidate is one block judged against the JIT selection rule.

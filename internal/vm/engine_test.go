@@ -125,12 +125,14 @@ type engineCfg struct {
 	nojit   bool   // EXO_NOJIT: fast interpreter only
 	hotAt   uint32 // JITThreshold override (1 compiles on first entry)
 	quantum uint64 // run in micro-quanta of this many steps (0 = one call)
-	noProf  bool   // run without a profiler (exercises the deferred JIT runner)
+	noProf  bool   // run without a profiler (a profiler switches the JIT tier off)
 }
 
 // engineVariants is every engine configuration the equivalence property
 // quantifies over. All architectural observables must match across the
-// whole set; profiles must match across the profiled subset. The hostile
+// whole set; profiles must match across the profiled subset (the two
+// interpreters: a profiled fast engine never enters the JIT tier, which
+// TestProfilerRunsInterpreter pins). The hostile
 // variants force deopt at each guard class: quantum=7 trips the step-
 // budget guard at nearly every block dispatch, hotAt=1 compiles every
 // block so even cold paths run jitted, and the generated programs
@@ -139,7 +141,6 @@ type engineCfg struct {
 var engineVariants = []engineCfg{
 	{name: "ref", slow: true},
 	{name: "fast-nojit", nojit: true},
-	{name: "jit-prof", hotAt: 1},
 	{name: "jit", hotAt: 1, noProf: true},
 	{name: "jit-microbudget", hotAt: 1, quantum: 7, noProf: true},
 	{name: "jit-default-threshold", noProf: true},
@@ -292,4 +293,60 @@ func FuzzEngineEquivalence(f *testing.F) {
 			t.Errorf("seed %d: engines diverged", seed)
 		}
 	})
+}
+
+// TestProfilerRunsInterpreter pins the profiled engine to the
+// interpreter: with a profiler attached the fast engine must not compile
+// a superblock even for a hot loop at threshold 1, and the run must
+// match the reference engine in registers, clock, steps, and PROF bytes.
+func TestProfilerRunsInterpreter(t *testing.T) {
+	code := asm.MustAssemble(`
+		addiu t1, zero, 300
+	loop:
+		lw    t2, 0(t0)
+		addu  t2, t2, t1
+		sw    t2, 0(t0)
+		addiu t1, t1, -1
+		bgtz  t1, loop
+		halt
+	`)
+	type result struct {
+		regs          [hw.NumRegs]uint32
+		cycles, steps uint64
+		profile       []byte
+	}
+	run := func(slow bool) (result, *Interp) {
+		m := hw.NewMachine(hw.DEC5000)
+		m.SetSlowPath(slow)
+		m.SetTrapHandler(&trapLog{})
+		m.CPU.ASID = 1
+		m.TLB.WriteRandom(hw.TLBEntry{VPN: 8, ASID: 1, PFN: 3, Perms: hw.PermValid | hw.PermWrite})
+		m.CPU.Mode = hw.ModeUser
+		m.CPU.SetReg(hw.RegT0, 8<<hw.PageShift)
+		in := New(m, FixedCode(code))
+		in.JITThreshold = 1
+		in.Prof = prof.New("quick", nil)
+		if r := in.Run(0); r != StopHalt {
+			t.Fatalf("slow=%v: Run = %v, want halt", slow, r)
+		}
+		var pbuf bytes.Buffer
+		if err := prof.Collect("quick", nil, []prof.Profile{in.Prof.Snapshot()}, 0).Write(&pbuf); err != nil {
+			t.Fatal(err)
+		}
+		return result{m.CPU.Regs, m.Clock.Cycles(), in.Steps, pbuf.Bytes()}, in
+	}
+	fast, in := run(false)
+	for pc, b := range in.jitSeg.blocks {
+		if b != nil {
+			t.Errorf("superblock compiled at pc %d with a profiler attached", pc)
+		}
+	}
+	ref, _ := run(true)
+	if fast.regs != ref.regs || fast.cycles != ref.cycles || fast.steps != ref.steps {
+		t.Errorf("fast {cycles %d steps %d} ref {cycles %d steps %d}, regs equal %v",
+			fast.cycles, fast.steps, ref.cycles, ref.steps, fast.regs == ref.regs)
+	}
+	if !bytes.Equal(fast.profile, ref.profile) {
+		t.Errorf("profiles diverged:\nfast:\n%s\nref:\n%s", fast.profile, ref.profile)
+	}
 }

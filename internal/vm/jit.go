@@ -31,19 +31,18 @@
 // iteration.
 //
 // Deoptimization is clean because simulated state is exact at every
-// point it can be observed. When no profiler is attached the runner
-// defers the per-instruction base-cost ticks, step counts, and PC stores
-// to the pass boundary — legal because nothing inside a guarded pass
-// reads them (the memory model charges by reference order, never by
-// clock value) — and flushes them before any trap, so a handler sees
-// precisely the clock, step count, and faulting PC the interpreter would
-// have produced. With a profiler attached the runner falls back to the
-// interpreter's full per-instruction commit protocol, keeping BeginInstr/
-// EndInstr windows cycle-exact per PC. Either way a trap hands the kernel
-// the same machine state as the interpreter (the kernel may switch
-// segments, rewrite the PC, re-arm the timer, request a stop) and the
-// block exits; the engine resumes interpreting at whatever PC the kernel
-// chose. ktrace stamps, PROF attribution, and the BENCH tables are
+// point it can be observed. The runner defers the per-instruction
+// base-cost ticks, step counts, and PC stores to the pass boundary —
+// legal because nothing inside a guarded pass reads them (the memory
+// model charges by reference order, never by clock value) — and flushes
+// them before any trap, so a handler sees precisely the clock, step
+// count, and faulting PC the interpreter would have produced (the kernel
+// may switch segments, rewrite the PC, re-arm the timer, request a stop);
+// the block exits and the engine resumes interpreting at whatever PC the
+// kernel chose. A profiler needs a BeginInstr/EndInstr window per
+// instruction, which deferral cannot give, so runFast skips the tier
+// while one is attached: the interpreter already attributes every cycle
+// exactly. ktrace stamps, PROF attribution, and the BENCH tables are
 // byte-identical across ref / fast / fast+JIT — the invariance gates and
 // the engine-equivalence quickcheck hold the tier to it.
 //
@@ -64,25 +63,19 @@ package vm
 import (
 	"exokernel/internal/hw"
 	"exokernel/internal/isa"
+	"exokernel/internal/prof"
 )
 
+// The selection rule — compile an entry once its count reaches
+// prof.CandidateDefaultThreshold (unless Interp.JITThreshold overrides
+// it), and only if the run is at least prof.CandidateMinLen long — is
+// defined in package prof, so `exoprof -candidates` previews exactly the
+// decision this tier makes.
 const (
-	// jitDefaultThreshold is the block-entry count at which a superblock
-	// is compiled when Interp.JITThreshold is unset. Entries are counted
-	// only on non-sequential transfers, so a loop head reaches it after
-	// that many iterations. Compilation is cheap (operand pre-decode, no
-	// codegen), so the threshold errs low; `exoprof -candidates` ranks
-	// what it would select from a committed profile.
-	jitDefaultThreshold = 16
-
 	// jitMaxLen bounds superblock length in instructions: it caps both
 	// compile work and the event-horizon guard's worst-case cost (a huge
 	// block would deopt forever under a short timer quantum).
 	jitMaxLen = 64
-
-	// jitMinLen is the shortest run worth the per-pass guards; shorter
-	// entries are marked dead and stay interpreted.
-	jitMinLen = 2
 
 	// jitMaxSegs caps the per-segment cache; beyond it the cache is
 	// dropped wholesale (bounded memory under segment churn).
@@ -228,7 +221,7 @@ func (in *Interp) jitHotAt() uint32 {
 	if in.JITThreshold != 0 {
 		return in.JITThreshold
 	}
-	return jitDefaultThreshold
+	return prof.CandidateDefaultThreshold
 }
 
 // jitSetSeg points the tier at the segment being published, reusing
@@ -261,15 +254,26 @@ func (in *Interp) jitSetSeg(code isa.Code) {
 	in.jitSeg = s
 }
 
-// jitFlush commits the deferred per-instruction state of a partial pass
-// before a trap: n instructions' base-cost ticks and step counts, and the
-// faulting instruction's PC (restart semantics — the interpreter has not
-// advanced the PC when an instruction faults). Called on trap paths only;
-// the hot loop stays free of per-instruction clock and counter traffic.
-func (in *Interp) jitFlush(n uint64, pc uint32) {
+// jitCommit materializes n deferred instructions' base-cost ticks and
+// step counts and returns how many instructions the block has committed
+// since start. Every runner exit goes through it; the hot loop stays free
+// of per-instruction clock and counter traffic.
+func (in *Interp) jitCommit(n, start uint64) uint64 {
 	in.M.Clock.Tick(n * hw.CostInstr)
 	in.Steps += n
+	return in.Steps - start
+}
+
+// jitTrap is the runner's cold trap exit: commit the n instructions of
+// the partial pass (the faulting one included, which the interpreter
+// also charges before it traps), restore the faulting instruction's PC
+// (restart semantics — the interpreter has not advanced the PC when an
+// instruction faults), and raise exc to the kernel.
+func (in *Interp) jitTrap(n, start uint64, exc hw.Exc, pc, badva uint32) uint64 {
+	done := in.jitCommit(n, start)
 	in.M.CPU.PC = pc
+	in.M.RaiseException(exc, pc, badva)
+	return done
 }
 
 // jitRunBlock executes guarded passes of b until a guard fails, the trace
@@ -279,18 +283,13 @@ func (in *Interp) jitFlush(n uint64, pc uint32) {
 // interpret the entry instruction itself (progress guarantee: the engine
 // never spins on a block it cannot enter).
 //
-// This is the deferred-commit runner, used when no profiler is attached:
-// base-cost ticks, the step count, and the PC are committed at pass
-// boundaries and flushed eagerly before any trap (jitFlush), so every
+// Base-cost ticks, the step count, and the PC are committed at pass
+// boundaries and flushed eagerly before any trap (jitTrap), so every
 // state a trap handler can observe is exactly what the interpreter would
 // have produced. Nothing else inside a guarded pass reads them: the
 // memory model charges by reference order, never by clock value, and the
-// skipped polls are covered by the pass guard. With a profiler attached
-// jitRunBlockProf runs the full per-instruction protocol instead.
+// skipped polls are covered by the pass guard.
 func (in *Interp) jitRunBlock(b *jitBlock, remaining uint64) uint64 {
-	if in.Prof != nil {
-		return in.jitRunBlockProf(b, remaining)
-	}
 	m := in.M
 	cpu := &m.CPU
 	regs := &cpu.Regs
@@ -313,12 +312,8 @@ func (in *Interp) jitRunBlock(b *jitBlock, remaining uint64) uint64 {
 	// deferred state.
 	var pending uint64
 	for {
-		if pending != 0 {
-			clock.Tick(pending * hw.CostInstr)
-			in.Steps += pending
-			pending = 0
-		}
-		done := in.Steps - start
+		done := in.jitCommit(pending, start)
+		pending = 0
 		if remaining-done < b.n {
 			return done
 		}
@@ -428,9 +423,7 @@ func (in *Interp) jitRunBlock(b *jitBlock, remaining uint64) uint64 {
 					}
 					s := a + bv
 					if (a >= 0 && bv >= 0 && s < 0) || (a < 0 && bv < 0 && s >= 0) {
-						in.jitFlush(pending+uint64(i+1), op.pc)
-						m.RaiseException(hw.ExcOverflow, op.pc, 0)
-						return in.Steps - start
+						return in.jitTrap(pending+uint64(i+1), start, hw.ExcOverflow, op.pc, 0)
 					}
 					if op.rd != 0 {
 						regs[op.rd&31] = uint32(s)
@@ -439,9 +432,7 @@ func (in *Interp) jitRunBlock(b *jitBlock, remaining uint64) uint64 {
 				case jkDIV, jkREM:
 					d := int32(regs[op.rt&31])
 					if d == 0 {
-						in.jitFlush(pending+uint64(i+1), op.pc)
-						m.RaiseException(hw.ExcBreak, op.pc, 0)
-						return in.Steps - start
+						return in.jitTrap(pending+uint64(i+1), start, hw.ExcBreak, op.pc, 0)
 					}
 					a := int32(regs[op.rs&31])
 					var v uint32
@@ -463,22 +454,16 @@ func (in *Interp) jitRunBlock(b *jitBlock, remaining uint64) uint64 {
 				case jkLW:
 					va := regs[op.rs&31] + op.imm
 					if va&3 != 0 {
-						in.jitFlush(pending+uint64(i+1), op.pc)
-						m.RaiseException(hw.ExcAddrErrL, op.pc, va)
-						return in.Steps - start
+						return in.jitTrap(pending+uint64(i+1), start, hw.ExcAddrErrL, op.pc, va)
 					}
 					s := op.site
 					vpn := va >> hw.PageShift
 					if (!s.valid || s.vpn != vpn || s.asid != asid || s.epoch != epoch) &&
 						!s.refill(tlb, vpn, asid, epoch) {
-						in.jitFlush(pending+uint64(i+1), op.pc)
-						m.RaiseException(hw.ExcTLBMissL, op.pc, va)
-						return in.Steps - start
+						return in.jitTrap(pending+uint64(i+1), start, hw.ExcTLBMissL, op.pc, va)
 					}
 					if s.entry.Perms&hw.PermKernel != 0 && !kernelMode {
-						in.jitFlush(pending+uint64(i+1), op.pc)
-						m.RaiseException(hw.ExcTLBMissL, op.pc, va)
-						return in.Steps - start
+						return in.jitTrap(pending+uint64(i+1), start, hw.ExcTLBMissL, op.pc, va)
 					}
 					pa := s.entry.PFN<<hw.PageShift | va&(hw.PageSize-1)
 					v := phys.ReadWord(pa)
@@ -488,22 +473,16 @@ func (in *Interp) jitRunBlock(b *jitBlock, remaining uint64) uint64 {
 				case jkLH, jkLHU:
 					va := regs[op.rs&31] + op.imm
 					if va&1 != 0 {
-						in.jitFlush(pending+uint64(i+1), op.pc)
-						m.RaiseException(hw.ExcAddrErrL, op.pc, va)
-						return in.Steps - start
+						return in.jitTrap(pending+uint64(i+1), start, hw.ExcAddrErrL, op.pc, va)
 					}
 					s := op.site
 					vpn := va >> hw.PageShift
 					if (!s.valid || s.vpn != vpn || s.asid != asid || s.epoch != epoch) &&
 						!s.refill(tlb, vpn, asid, epoch) {
-						in.jitFlush(pending+uint64(i+1), op.pc)
-						m.RaiseException(hw.ExcTLBMissL, op.pc, va)
-						return in.Steps - start
+						return in.jitTrap(pending+uint64(i+1), start, hw.ExcTLBMissL, op.pc, va)
 					}
 					if s.entry.Perms&hw.PermKernel != 0 && !kernelMode {
-						in.jitFlush(pending+uint64(i+1), op.pc)
-						m.RaiseException(hw.ExcTLBMissL, op.pc, va)
-						return in.Steps - start
+						return in.jitTrap(pending+uint64(i+1), start, hw.ExcTLBMissL, op.pc, va)
 					}
 					pa := s.entry.PFN<<hw.PageShift | va&(hw.PageSize-1)
 					v := uint32(phys.ReadHalf(pa))
@@ -519,14 +498,10 @@ func (in *Interp) jitRunBlock(b *jitBlock, remaining uint64) uint64 {
 					vpn := va >> hw.PageShift
 					if (!s.valid || s.vpn != vpn || s.asid != asid || s.epoch != epoch) &&
 						!s.refill(tlb, vpn, asid, epoch) {
-						in.jitFlush(pending+uint64(i+1), op.pc)
-						m.RaiseException(hw.ExcTLBMissL, op.pc, va)
-						return in.Steps - start
+						return in.jitTrap(pending+uint64(i+1), start, hw.ExcTLBMissL, op.pc, va)
 					}
 					if s.entry.Perms&hw.PermKernel != 0 && !kernelMode {
-						in.jitFlush(pending+uint64(i+1), op.pc)
-						m.RaiseException(hw.ExcTLBMissL, op.pc, va)
-						return in.Steps - start
+						return in.jitTrap(pending+uint64(i+1), start, hw.ExcTLBMissL, op.pc, va)
 					}
 					pa := s.entry.PFN<<hw.PageShift | va&(hw.PageSize-1)
 					v := uint32(phys.LoadByte(pa))
@@ -540,54 +515,38 @@ func (in *Interp) jitRunBlock(b *jitBlock, remaining uint64) uint64 {
 				case jkSW:
 					va := regs[op.rs&31] + op.imm
 					if va&3 != 0 {
-						in.jitFlush(pending+uint64(i+1), op.pc)
-						m.RaiseException(hw.ExcAddrErrS, op.pc, va)
-						return in.Steps - start
+						return in.jitTrap(pending+uint64(i+1), start, hw.ExcAddrErrS, op.pc, va)
 					}
 					s := op.site
 					vpn := va >> hw.PageShift
 					if (!s.valid || s.vpn != vpn || s.asid != asid || s.epoch != epoch) &&
 						!s.refill(tlb, vpn, asid, epoch) {
-						in.jitFlush(pending+uint64(i+1), op.pc)
-						m.RaiseException(hw.ExcTLBMissS, op.pc, va)
-						return in.Steps - start
+						return in.jitTrap(pending+uint64(i+1), start, hw.ExcTLBMissS, op.pc, va)
 					}
 					if s.entry.Perms&hw.PermKernel != 0 && !kernelMode {
-						in.jitFlush(pending+uint64(i+1), op.pc)
-						m.RaiseException(hw.ExcTLBMissS, op.pc, va)
-						return in.Steps - start
+						return in.jitTrap(pending+uint64(i+1), start, hw.ExcTLBMissS, op.pc, va)
 					}
 					if s.entry.Perms&hw.PermWrite == 0 {
-						in.jitFlush(pending+uint64(i+1), op.pc)
-						m.RaiseException(hw.ExcTLBMod, op.pc, va)
-						return in.Steps - start
+						return in.jitTrap(pending+uint64(i+1), start, hw.ExcTLBMod, op.pc, va)
 					}
 					pa := s.entry.PFN<<hw.PageShift | va&(hw.PageSize-1)
 					phys.WriteWord(pa, regs[op.rt&31])
 				case jkSH:
 					va := regs[op.rs&31] + op.imm
 					if va&1 != 0 {
-						in.jitFlush(pending+uint64(i+1), op.pc)
-						m.RaiseException(hw.ExcAddrErrS, op.pc, va)
-						return in.Steps - start
+						return in.jitTrap(pending+uint64(i+1), start, hw.ExcAddrErrS, op.pc, va)
 					}
 					s := op.site
 					vpn := va >> hw.PageShift
 					if (!s.valid || s.vpn != vpn || s.asid != asid || s.epoch != epoch) &&
 						!s.refill(tlb, vpn, asid, epoch) {
-						in.jitFlush(pending+uint64(i+1), op.pc)
-						m.RaiseException(hw.ExcTLBMissS, op.pc, va)
-						return in.Steps - start
+						return in.jitTrap(pending+uint64(i+1), start, hw.ExcTLBMissS, op.pc, va)
 					}
 					if s.entry.Perms&hw.PermKernel != 0 && !kernelMode {
-						in.jitFlush(pending+uint64(i+1), op.pc)
-						m.RaiseException(hw.ExcTLBMissS, op.pc, va)
-						return in.Steps - start
+						return in.jitTrap(pending+uint64(i+1), start, hw.ExcTLBMissS, op.pc, va)
 					}
 					if s.entry.Perms&hw.PermWrite == 0 {
-						in.jitFlush(pending+uint64(i+1), op.pc)
-						m.RaiseException(hw.ExcTLBMod, op.pc, va)
-						return in.Steps - start
+						return in.jitTrap(pending+uint64(i+1), start, hw.ExcTLBMod, op.pc, va)
 					}
 					pa := s.entry.PFN<<hw.PageShift | va&(hw.PageSize-1)
 					phys.WriteHalf(pa, uint16(regs[op.rt&31]))
@@ -597,19 +556,13 @@ func (in *Interp) jitRunBlock(b *jitBlock, remaining uint64) uint64 {
 					vpn := va >> hw.PageShift
 					if (!s.valid || s.vpn != vpn || s.asid != asid || s.epoch != epoch) &&
 						!s.refill(tlb, vpn, asid, epoch) {
-						in.jitFlush(pending+uint64(i+1), op.pc)
-						m.RaiseException(hw.ExcTLBMissS, op.pc, va)
-						return in.Steps - start
+						return in.jitTrap(pending+uint64(i+1), start, hw.ExcTLBMissS, op.pc, va)
 					}
 					if s.entry.Perms&hw.PermKernel != 0 && !kernelMode {
-						in.jitFlush(pending+uint64(i+1), op.pc)
-						m.RaiseException(hw.ExcTLBMissS, op.pc, va)
-						return in.Steps - start
+						return in.jitTrap(pending+uint64(i+1), start, hw.ExcTLBMissS, op.pc, va)
 					}
 					if s.entry.Perms&hw.PermWrite == 0 {
-						in.jitFlush(pending+uint64(i+1), op.pc)
-						m.RaiseException(hw.ExcTLBMod, op.pc, va)
-						return in.Steps - start
+						return in.jitTrap(pending+uint64(i+1), start, hw.ExcTLBMod, op.pc, va)
 					}
 					pa := s.entry.PFN<<hw.PageShift | va&(hw.PageSize-1)
 					phys.StoreByte(pa, byte(regs[op.rt&31]))
@@ -622,9 +575,7 @@ func (in *Interp) jitRunBlock(b *jitBlock, remaining uint64) uint64 {
 							loop = true
 							break pass
 						}
-						clock.Tick((pending + uint64(i+1)) * hw.CostInstr)
-						in.Steps += pending + uint64(i+1)
-						return in.Steps - start
+						return in.jitCommit(pending+uint64(i+1), start)
 					}
 				case jkBNE:
 					if regs[op.rs&31] != regs[op.rt&31] {
@@ -634,9 +585,7 @@ func (in *Interp) jitRunBlock(b *jitBlock, remaining uint64) uint64 {
 							loop = true
 							break pass
 						}
-						clock.Tick((pending + uint64(i+1)) * hw.CostInstr)
-						in.Steps += pending + uint64(i+1)
-						return in.Steps - start
+						return in.jitCommit(pending+uint64(i+1), start)
 					}
 				case jkBLEZ:
 					if int32(regs[op.rs&31]) <= 0 {
@@ -646,9 +595,7 @@ func (in *Interp) jitRunBlock(b *jitBlock, remaining uint64) uint64 {
 							loop = true
 							break pass
 						}
-						clock.Tick((pending + uint64(i+1)) * hw.CostInstr)
-						in.Steps += pending + uint64(i+1)
-						return in.Steps - start
+						return in.jitCommit(pending+uint64(i+1), start)
 					}
 				case jkBGTZ:
 					if int32(regs[op.rs&31]) > 0 {
@@ -658,9 +605,7 @@ func (in *Interp) jitRunBlock(b *jitBlock, remaining uint64) uint64 {
 							loop = true
 							break pass
 						}
-						clock.Tick((pending + uint64(i+1)) * hw.CostInstr)
-						in.Steps += pending + uint64(i+1)
-						return in.Steps - start
+						return in.jitCommit(pending+uint64(i+1), start)
 					}
 				case jkBLTZ:
 					if int32(regs[op.rs&31]) < 0 {
@@ -670,9 +615,7 @@ func (in *Interp) jitRunBlock(b *jitBlock, remaining uint64) uint64 {
 							loop = true
 							break pass
 						}
-						clock.Tick((pending + uint64(i+1)) * hw.CostInstr)
-						in.Steps += pending + uint64(i+1)
-						return in.Steps - start
+						return in.jitCommit(pending+uint64(i+1), start)
 					}
 				case jkBGEZ:
 					if int32(regs[op.rs&31]) >= 0 {
@@ -682,9 +625,7 @@ func (in *Interp) jitRunBlock(b *jitBlock, remaining uint64) uint64 {
 							loop = true
 							break pass
 						}
-						clock.Tick((pending + uint64(i+1)) * hw.CostInstr)
-						in.Steps += pending + uint64(i+1)
-						return in.Steps - start
+						return in.jitCommit(pending+uint64(i+1), start)
 					}
 
 				case jkJ, jkJAL:
@@ -700,442 +641,20 @@ func (in *Interp) jitRunBlock(b *jitBlock, remaining uint64) uint64 {
 						loop = true
 						break pass
 					}
-					clock.Tick((pending + uint64(i+1)) * hw.CostInstr)
-					in.Steps += pending + uint64(i+1)
-					return in.Steps - start
+					return in.jitCommit(pending+uint64(i+1), start)
 				case jkJR, jkJALR:
 					if op.kind == jkJALR && op.rd != 0 {
 						regs[op.rd&31] = op.imm
 					}
 					cpu.PC = regs[op.rs&31]
-					clock.Tick((pending + uint64(i+1)) * hw.CostInstr)
-					in.Steps += pending + uint64(i+1)
-					return in.Steps - start
+					return in.jitCommit(pending+uint64(i+1), start)
 				}
 			}
 			if !loop {
 				// Fell off the end of the trace: commit the full pass and
 				// hand the successor PC back to the interpreter.
-				clock.Tick((pending + b.n) * hw.CostInstr)
-				in.Steps += pending + b.n
 				cpu.PC = b.endPC
-				return in.Steps - start
-			}
-		}
-	}
-}
-
-// jitRunBlockProf is the profiled runner: identical block semantics, but
-// the interpreter's full per-instruction commit protocol — BeginInstr
-// window, base-cost tick, step count, operation, EndInstr window — so
-// PROF attribution is cycle-exact per PC even for JIT-executed
-// instructions. Host speed is secondary when a profiler is attached; the
-// tier still runs so profiled and unprofiled executions share one code
-// path shape.
-func (in *Interp) jitRunBlockProf(b *jitBlock, remaining uint64) uint64 {
-	m := in.M
-	cpu := &m.CPU
-	regs := &cpu.Regs
-	clock := m.Clock
-	phys := m.Phys
-	tlb := m.TLB
-	p := in.Prof
-	start := in.Steps
-	ops := b.ops
-	asid := cpu.ASID
-	epoch := tlb.Epoch()
-	kernelMode := cpu.Mode == hw.ModeKernel
-	for {
-		done := in.Steps - start
-		if remaining-done < b.n {
-			return done
-		}
-		now := clock.Cycles()
-		h := m.EventHorizon()
-		if h <= now || h-now <= b.maxCost {
-			return done
-		}
-		k := (h - now - 1) / b.maxCost
-		if kb := (remaining - done) / b.n; kb < k {
-			k = kb
-		}
-		for ; k > 0; k-- {
-			loop := false
-		pass:
-			for i := range ops {
-				op := &ops[i]
-				p.BeginInstr(op.pc, asid, clock.Cycles())
-				clock.Tick(hw.CostInstr)
-				in.Steps++
-				out := jitNext
-				switch op.kind {
-				case jkNOP:
-					cpu.PC = op.next
-				case jkLI:
-					if op.rd != 0 {
-						regs[op.rd&31] = op.imm
-					}
-					cpu.PC = op.next
-				case jkADDU:
-					if op.rd != 0 {
-						regs[op.rd&31] = regs[op.rs&31] + regs[op.rt&31]
-					}
-					cpu.PC = op.next
-				case jkADDI:
-					if op.rd != 0 {
-						regs[op.rd&31] = regs[op.rs&31] + op.imm
-					}
-					cpu.PC = op.next
-				case jkSUB:
-					if op.rd != 0 {
-						regs[op.rd&31] = regs[op.rs&31] - regs[op.rt&31]
-					}
-					cpu.PC = op.next
-				case jkMUL:
-					if op.rd != 0 {
-						regs[op.rd&31] = regs[op.rs&31] * regs[op.rt&31]
-					}
-					cpu.PC = op.next
-				case jkAND:
-					if op.rd != 0 {
-						regs[op.rd&31] = regs[op.rs&31] & regs[op.rt&31]
-					}
-					cpu.PC = op.next
-				case jkANDI:
-					if op.rd != 0 {
-						regs[op.rd&31] = regs[op.rs&31] & op.imm
-					}
-					cpu.PC = op.next
-				case jkOR:
-					if op.rd != 0 {
-						regs[op.rd&31] = regs[op.rs&31] | regs[op.rt&31]
-					}
-					cpu.PC = op.next
-				case jkORI:
-					if op.rd != 0 {
-						regs[op.rd&31] = regs[op.rs&31] | op.imm
-					}
-					cpu.PC = op.next
-				case jkXOR:
-					if op.rd != 0 {
-						regs[op.rd&31] = regs[op.rs&31] ^ regs[op.rt&31]
-					}
-					cpu.PC = op.next
-				case jkXORI:
-					if op.rd != 0 {
-						regs[op.rd&31] = regs[op.rs&31] ^ op.imm
-					}
-					cpu.PC = op.next
-				case jkNOR:
-					if op.rd != 0 {
-						regs[op.rd&31] = ^(regs[op.rs&31] | regs[op.rt&31])
-					}
-					cpu.PC = op.next
-				case jkSLT:
-					if op.rd != 0 {
-						regs[op.rd&31] = b2u(int32(regs[op.rs&31]) < int32(regs[op.rt&31]))
-					}
-					cpu.PC = op.next
-				case jkSLTU:
-					if op.rd != 0 {
-						regs[op.rd&31] = b2u(regs[op.rs&31] < regs[op.rt&31])
-					}
-					cpu.PC = op.next
-				case jkSLTI:
-					if op.rd != 0 {
-						regs[op.rd&31] = b2u(int32(regs[op.rs&31]) < int32(op.imm))
-					}
-					cpu.PC = op.next
-				case jkSLL:
-					if op.rd != 0 {
-						regs[op.rd&31] = regs[op.rs&31] << (op.imm & 31)
-					}
-					cpu.PC = op.next
-				case jkSRL:
-					if op.rd != 0 {
-						regs[op.rd&31] = regs[op.rs&31] >> (op.imm & 31)
-					}
-					cpu.PC = op.next
-				case jkSRA:
-					if op.rd != 0 {
-						regs[op.rd&31] = uint32(int32(regs[op.rs&31]) >> (op.imm & 31))
-					}
-					cpu.PC = op.next
-
-				case jkADDV, jkADDIV:
-					a := int32(regs[op.rs&31])
-					bv := int32(op.imm)
-					if op.kind == jkADDV {
-						bv = int32(regs[op.rt&31])
-					}
-					s := a + bv
-					if (a >= 0 && bv >= 0 && s < 0) || (a < 0 && bv < 0 && s >= 0) {
-						m.RaiseException(hw.ExcOverflow, op.pc, 0)
-						out = jitExit
-						break
-					}
-					if op.rd != 0 {
-						regs[op.rd&31] = uint32(s)
-					}
-					cpu.PC = op.next
-
-				case jkDIV, jkREM:
-					d := int32(regs[op.rt&31])
-					if d == 0 {
-						m.RaiseException(hw.ExcBreak, op.pc, 0)
-						out = jitExit
-						break
-					}
-					a := int32(regs[op.rs&31])
-					var v uint32
-					switch {
-					case a == -1<<31 && d == -1:
-						// Same wrapped definition as the interpreter.
-						if op.kind == jkDIV {
-							v = 1 << 31
-						}
-					case op.kind == jkDIV:
-						v = uint32(a / d)
-					default:
-						v = uint32(a % d)
-					}
-					if op.rd != 0 {
-						regs[op.rd&31] = v
-					}
-					cpu.PC = op.next
-
-				case jkLW:
-					va := regs[op.rs&31] + op.imm
-					if va&3 != 0 {
-						m.RaiseException(hw.ExcAddrErrL, op.pc, va)
-						out = jitExit
-						break
-					}
-					s := op.site
-					vpn := va >> hw.PageShift
-					if (!s.valid || s.vpn != vpn || s.asid != asid || s.epoch != epoch) &&
-						!s.refill(tlb, vpn, asid, epoch) {
-						m.RaiseException(hw.ExcTLBMissL, op.pc, va)
-						out = jitExit
-						break
-					}
-					if s.entry.Perms&hw.PermKernel != 0 && !kernelMode {
-						m.RaiseException(hw.ExcTLBMissL, op.pc, va)
-						out = jitExit
-						break
-					}
-					pa := s.entry.PFN<<hw.PageShift | va&(hw.PageSize-1)
-					v := phys.ReadWord(pa)
-					if op.rd != 0 {
-						regs[op.rd&31] = v
-					}
-					cpu.PC = op.next
-				case jkLH, jkLHU:
-					va := regs[op.rs&31] + op.imm
-					if va&1 != 0 {
-						m.RaiseException(hw.ExcAddrErrL, op.pc, va)
-						out = jitExit
-						break
-					}
-					s := op.site
-					vpn := va >> hw.PageShift
-					if (!s.valid || s.vpn != vpn || s.asid != asid || s.epoch != epoch) &&
-						!s.refill(tlb, vpn, asid, epoch) {
-						m.RaiseException(hw.ExcTLBMissL, op.pc, va)
-						out = jitExit
-						break
-					}
-					if s.entry.Perms&hw.PermKernel != 0 && !kernelMode {
-						m.RaiseException(hw.ExcTLBMissL, op.pc, va)
-						out = jitExit
-						break
-					}
-					pa := s.entry.PFN<<hw.PageShift | va&(hw.PageSize-1)
-					v := uint32(phys.ReadHalf(pa))
-					if op.kind == jkLH {
-						v = uint32(int32(int16(v)))
-					}
-					if op.rd != 0 {
-						regs[op.rd&31] = v
-					}
-					cpu.PC = op.next
-				case jkLB, jkLBU:
-					va := regs[op.rs&31] + op.imm
-					s := op.site
-					vpn := va >> hw.PageShift
-					if (!s.valid || s.vpn != vpn || s.asid != asid || s.epoch != epoch) &&
-						!s.refill(tlb, vpn, asid, epoch) {
-						m.RaiseException(hw.ExcTLBMissL, op.pc, va)
-						out = jitExit
-						break
-					}
-					if s.entry.Perms&hw.PermKernel != 0 && !kernelMode {
-						m.RaiseException(hw.ExcTLBMissL, op.pc, va)
-						out = jitExit
-						break
-					}
-					pa := s.entry.PFN<<hw.PageShift | va&(hw.PageSize-1)
-					v := uint32(phys.LoadByte(pa))
-					if op.kind == jkLB {
-						v = uint32(int32(int8(v)))
-					}
-					if op.rd != 0 {
-						regs[op.rd&31] = v
-					}
-					cpu.PC = op.next
-
-				case jkSW:
-					va := regs[op.rs&31] + op.imm
-					if va&3 != 0 {
-						m.RaiseException(hw.ExcAddrErrS, op.pc, va)
-						out = jitExit
-						break
-					}
-					s := op.site
-					vpn := va >> hw.PageShift
-					if (!s.valid || s.vpn != vpn || s.asid != asid || s.epoch != epoch) &&
-						!s.refill(tlb, vpn, asid, epoch) {
-						m.RaiseException(hw.ExcTLBMissS, op.pc, va)
-						out = jitExit
-						break
-					}
-					if s.entry.Perms&hw.PermKernel != 0 && !kernelMode {
-						m.RaiseException(hw.ExcTLBMissS, op.pc, va)
-						out = jitExit
-						break
-					}
-					if s.entry.Perms&hw.PermWrite == 0 {
-						m.RaiseException(hw.ExcTLBMod, op.pc, va)
-						out = jitExit
-						break
-					}
-					pa := s.entry.PFN<<hw.PageShift | va&(hw.PageSize-1)
-					phys.WriteWord(pa, regs[op.rt&31])
-					cpu.PC = op.next
-				case jkSH:
-					va := regs[op.rs&31] + op.imm
-					if va&1 != 0 {
-						m.RaiseException(hw.ExcAddrErrS, op.pc, va)
-						out = jitExit
-						break
-					}
-					s := op.site
-					vpn := va >> hw.PageShift
-					if (!s.valid || s.vpn != vpn || s.asid != asid || s.epoch != epoch) &&
-						!s.refill(tlb, vpn, asid, epoch) {
-						m.RaiseException(hw.ExcTLBMissS, op.pc, va)
-						out = jitExit
-						break
-					}
-					if s.entry.Perms&hw.PermKernel != 0 && !kernelMode {
-						m.RaiseException(hw.ExcTLBMissS, op.pc, va)
-						out = jitExit
-						break
-					}
-					if s.entry.Perms&hw.PermWrite == 0 {
-						m.RaiseException(hw.ExcTLBMod, op.pc, va)
-						out = jitExit
-						break
-					}
-					pa := s.entry.PFN<<hw.PageShift | va&(hw.PageSize-1)
-					phys.WriteHalf(pa, uint16(regs[op.rt&31]))
-					cpu.PC = op.next
-				case jkSB:
-					va := regs[op.rs&31] + op.imm
-					s := op.site
-					vpn := va >> hw.PageShift
-					if (!s.valid || s.vpn != vpn || s.asid != asid || s.epoch != epoch) &&
-						!s.refill(tlb, vpn, asid, epoch) {
-						m.RaiseException(hw.ExcTLBMissS, op.pc, va)
-						out = jitExit
-						break
-					}
-					if s.entry.Perms&hw.PermKernel != 0 && !kernelMode {
-						m.RaiseException(hw.ExcTLBMissS, op.pc, va)
-						out = jitExit
-						break
-					}
-					if s.entry.Perms&hw.PermWrite == 0 {
-						m.RaiseException(hw.ExcTLBMod, op.pc, va)
-						out = jitExit
-						break
-					}
-					pa := s.entry.PFN<<hw.PageShift | va&(hw.PageSize-1)
-					phys.StoreByte(pa, byte(regs[op.rt&31]))
-					cpu.PC = op.next
-
-				case jkBEQ:
-					if regs[op.rs&31] == regs[op.rt&31] {
-						cpu.PC = op.targ
-						out = op.out
-					} else {
-						cpu.PC = op.next
-					}
-				case jkBNE:
-					if regs[op.rs&31] != regs[op.rt&31] {
-						cpu.PC = op.targ
-						out = op.out
-					} else {
-						cpu.PC = op.next
-					}
-				case jkBLEZ:
-					if int32(regs[op.rs&31]) <= 0 {
-						cpu.PC = op.targ
-						out = op.out
-					} else {
-						cpu.PC = op.next
-					}
-				case jkBGTZ:
-					if int32(regs[op.rs&31]) > 0 {
-						cpu.PC = op.targ
-						out = op.out
-					} else {
-						cpu.PC = op.next
-					}
-				case jkBLTZ:
-					if int32(regs[op.rs&31]) < 0 {
-						cpu.PC = op.targ
-						out = op.out
-					} else {
-						cpu.PC = op.next
-					}
-				case jkBGEZ:
-					if int32(regs[op.rs&31]) >= 0 {
-						cpu.PC = op.targ
-						out = op.out
-					} else {
-						cpu.PC = op.next
-					}
-
-				case jkJ:
-					cpu.PC = op.next
-					out = op.out
-				case jkJAL:
-					regs[hw.RegRA] = op.imm
-					cpu.PC = op.next
-					out = op.out
-				case jkJR:
-					cpu.PC = regs[op.rs&31]
-					out = jitExit
-				case jkJALR:
-					if op.rd != 0 {
-						regs[op.rd&31] = op.imm
-					}
-					cpu.PC = regs[op.rs&31]
-					out = jitExit
-				}
-				p.EndInstr(clock.Cycles())
-				switch out {
-				case jitNext:
-				case jitExit:
-					return in.Steps - start
-				case jitLoop:
-					loop = true
-					break pass
-				}
-			}
-			if !loop {
-				return in.Steps - start // fell off the end; PC already advanced
+				return in.jitCommit(pending+b.n, start)
 			}
 		}
 	}
@@ -1145,11 +664,10 @@ func (in *Interp) jitRunBlockProf(b *jitBlock, remaining uint64) uint64 {
 // when the run is too short to pay for the guards.
 //
 // Micro-op invariant: on entry to an op, the simulated PC is that op's
-// pc. The profiled runner maintains cpu.PC architecturally per op; the
-// deferred runner tracks it positionally and materializes it at every
-// exit and before every trap — either way a trap handler sees the
-// faulting PC with the instruction not yet advanced, exactly the
-// interpreter's restart semantics.
+// pc. The runner tracks it positionally and materializes it at every
+// exit and before every trap, so a trap handler sees the faulting PC
+// with the instruction not yet advanced, exactly the interpreter's
+// restart semantics.
 func (in *Interp) jitCompile(code isa.Code, entry uint32) *jitBlock {
 	b := &jitBlock{entry: entry}
 	pc := entry
@@ -1307,7 +825,7 @@ compile:
 
 	b.n = uint64(len(b.ops))
 	b.endPC = pc // successor of the last trace op (unused when it exits itself)
-	if b.n < jitMinLen {
+	if b.n < prof.CandidateMinLen {
 		return &jitBlock{} // dead entry: keep interpreting, stop counting
 	}
 	return b

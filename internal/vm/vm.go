@@ -93,7 +93,10 @@ type Interp struct {
 	// every instruction execution attempt (including attempts that fault
 	// at fetch). Off by default; the hot loop pays one nil test. The
 	// hooks never tick the clock, so attaching a profiler cannot change
-	// simulated behaviour.
+	// simulated behaviour. The fast engine skips the trace-JIT tier while
+	// a profiler is attached, so a profiled run is slower on the host,
+	// never different. Run reads Prof once on entry: attaching or
+	// detaching takes effect at the next Run.
 	Prof *prof.Profiler
 
 	// Direct-fetch fast path: when a code segment is published via
@@ -177,16 +180,7 @@ func (in *Interp) runRef(maxSteps uint64) StopReason {
 		}
 		inst, exc := in.Src.Fetch(cpu.PC)
 		if exc != hw.ExcNone {
-			// A fetch fault is an execution attempt at this PC: the
-			// profiler window covers the exception-entry cost and the
-			// kernel's service, attributed to the faulting address.
-			if p != nil {
-				p.BeginInstr(cpu.PC, cpu.ASID, in.M.Clock.Cycles())
-			}
-			in.M.RaiseException(exc, cpu.PC, cpu.PC)
-			if p != nil {
-				p.EndInstr(in.M.Clock.Cycles())
-			}
+			in.fetchFault(p, exc, cpu.PC)
 			continue
 		}
 		if p != nil {
@@ -219,12 +213,14 @@ func (in *Interp) runRef(maxSteps uint64) StopReason {
 // ones are compiled to superblocks, and the dispatcher runs a compiled
 // block when its entry guard admits at least one pass. A dispatch that
 // commits nothing (guard failure) falls through to interpret the entry
-// instruction, so the engine always makes progress.
+// instruction, so the engine always makes progress. The tier is off for
+// ASH handlers and while a profiler is attached: deferred commits cannot
+// bracket each instruction, and the interpreter attributes exactly.
 func (in *Interp) runFast(maxSteps uint64) StopReason {
 	m := in.M
 	cpu := &m.CPU
 	p := in.Prof
-	useJIT := in.ASH == nil && !m.NoJIT()
+	useJIT := in.ASH == nil && p == nil && !m.NoJIT()
 	lastPC := cpu.PC // any value ≠ pc−1: the first PC counts as an entry
 	for n := uint64(0); maxSteps == 0 || n < maxSteps; n++ {
 		if m.TimerDue() {
@@ -264,13 +260,7 @@ func (in *Interp) runFast(maxSteps uint64) StopReason {
 		var inst isa.Inst
 		if in.direct {
 			if int(pc) >= len(in.code) {
-				if p != nil {
-					p.BeginInstr(pc, cpu.ASID, m.Clock.Cycles())
-				}
-				m.RaiseException(hw.ExcAddrErrL, pc, pc)
-				if p != nil {
-					p.EndInstr(m.Clock.Cycles())
-				}
+				in.fetchFault(p, hw.ExcAddrErrL, pc)
 				continue
 			}
 			inst = in.code[pc]
@@ -278,13 +268,7 @@ func (in *Interp) runFast(maxSteps uint64) StopReason {
 			var exc hw.Exc
 			inst, exc = in.Src.Fetch(pc)
 			if exc != hw.ExcNone {
-				if p != nil {
-					p.BeginInstr(pc, cpu.ASID, m.Clock.Cycles())
-				}
-				m.RaiseException(exc, pc, pc)
-				if p != nil {
-					p.EndInstr(m.Clock.Cycles())
-				}
+				in.fetchFault(p, exc, pc)
 				continue
 			}
 		}
@@ -302,6 +286,20 @@ func (in *Interp) runFast(maxSteps uint64) StopReason {
 		}
 	}
 	return StopSteps
+}
+
+// fetchFault raises exc for a failed fetch at pc. A fetch fault is an
+// execution attempt at this PC: the profiler window, when p is non-nil,
+// covers the exception-entry cost and the kernel's service, attributed
+// to the faulting address.
+func (in *Interp) fetchFault(p *prof.Profiler, exc hw.Exc, pc uint32) {
+	if p != nil {
+		p.BeginInstr(pc, in.M.CPU.ASID, in.M.Clock.Cycles())
+	}
+	in.M.RaiseException(exc, pc, pc)
+	if p != nil {
+		p.EndInstr(in.M.Clock.Cycles())
+	}
 }
 
 // Step executes one instruction, returning true on HALT. The PC has NOT

@@ -46,15 +46,19 @@ cmp "$tmp/fast.txt" "$tmp/slow.txt"
 EXO_SLOWPATH=1 go run ./cmd/aegisbench -only table2 -format json > "$tmp/bench_slow.json"
 go run ./cmd/benchdiff -threshold 0 "$tmp/bench_slow.json" "$tmp/bench.json"
 
-echo "== jit smoke (Table 9 under EXO_NOJIT=1 vs default)"
+echo "== jit smoke (Table 9 under EXO_NOJIT=1, and profiled, vs default)"
 # The trace-JIT tier must be invisible in simulated time: Table 9 — the
 # matmul workload whose inner loops the JIT compiles — renders byte-
 # identical simulated output with the tier on (default) and off
-# (EXO_NOJIT=1). Small matrix keeps the smoke fast; the full sweep is
+# (EXO_NOJIT=1). A profiled run takes the interpreter instead of the
+# tier and must render the same table too: a profiler may slow a run,
+# never change it. Small matrix keeps the smoke fast; the full sweep is
 # covered by make invariance and the vm engine-equivalence quickcheck.
 go run ./cmd/aegisbench -only table9 -n 32 > "$tmp/jit.txt"
 EXO_NOJIT=1 go run ./cmd/aegisbench -only table9 -n 32 > "$tmp/nojit.txt"
 cmp "$tmp/jit.txt" "$tmp/nojit.txt"
+go run ./cmd/aegisbench -only table9 -n 32 -prof "$tmp/t9.prof.json" > "$tmp/jitprof.txt"
+cmp "$tmp/jit.txt" "$tmp/jitprof.txt"
 
 echo "== chaos smoke (fixed-seed fault schedule + invariant gate + replay)"
 # Smaller than \`make chaos\` (300 events / 25 reboots vs 1000 / 100)
