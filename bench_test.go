@@ -26,9 +26,11 @@ import (
 	"exokernel/internal/ultrix"
 )
 
-// simPerOp measures fn b.N times and reports mean simulated microseconds.
+// simPerOp measures fn b.N times and reports mean simulated microseconds
+// beside the host ns/op and allocs/op.
 func simPerOp(b *testing.B, m *hw.Machine, fn func()) {
 	b.Helper()
+	b.ReportAllocs()
 	b.ResetTimer()
 	start := m.Clock.Cycles()
 	for i := 0; i < b.N; i++ {
@@ -218,6 +220,7 @@ func table7Workload(b *testing.B) ([]pkt.Flow, []byte) {
 }
 
 func BenchmarkTable7_DPF(b *testing.B) {
+	b.ReportAllocs()
 	flows, frame := table7Workload(b)
 	e := dpf.NewEngine()
 	for _, f := range flows {
@@ -234,6 +237,7 @@ func BenchmarkTable7_DPF(b *testing.B) {
 }
 
 func BenchmarkTable7_MPF(b *testing.B) {
+	b.ReportAllocs()
 	flows, frame := table7Workload(b)
 	e := mpf.NewEngine()
 	for _, f := range flows {
@@ -250,6 +254,7 @@ func BenchmarkTable7_MPF(b *testing.B) {
 }
 
 func BenchmarkTable7_PATHFINDER(b *testing.B) {
+	b.ReportAllocs()
 	flows, frame := table7Workload(b)
 	e := pathfinder.NewEngine()
 	for _, f := range flows {
@@ -350,6 +355,7 @@ func BenchmarkTable9_MatmulBothSystems(b *testing.B) {
 	old := bench.Table9MatrixN
 	bench.Table9MatrixN = 48
 	defer func() { bench.Table9MatrixN = old }()
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		bench.Table9()
 	}
@@ -486,6 +492,7 @@ func BenchmarkFig2_ASH8Spinners(b *testing.B)   { benchRoundTrip(b, true, 8) }
 func BenchmarkFig2_NoASH8Spinners(b *testing.B) { benchRoundTrip(b, false, 8) }
 
 func BenchmarkTable11_UltrixSockets(b *testing.B) {
+	b.ReportAllocs()
 	seg := ether.NewSegment()
 	ma, ka := newUltrix()
 	mb, kb := newUltrix()

@@ -16,18 +16,23 @@ import (
 // capability. File systems — layout, naming, caching, consistency — are
 // library code (internal/exos/fs.go).
 
-// diskResource encodes an extent identity into a capability resource:
-// a tag in the top byte keeps disk extents and physical frames in
-// disjoint namespaces under one minting authority.
-func diskResource(start, nblocks uint32) uint64 {
-	return 1<<56 | uint64(start)<<24 | uint64(nblocks)
-}
-
 // extent records one secure binding on a block range.
 type extent struct {
 	owner   EnvID
 	start   uint32
 	nblocks uint32
+	name    uint64 // bindingName at allocation; the capability resource
+}
+
+// findExtent returns the index of the live extent [start, start+nblocks),
+// or -1.
+func (k *Kernel) findExtent(start, nblocks uint32) int {
+	for i, x := range k.extents {
+		if x.start == start && x.nblocks == nblocks {
+			return i
+		}
+	}
+	return -1
 }
 
 // AllocExtent allocates a contiguous range of nblocks disk blocks for an
@@ -45,8 +50,9 @@ func (k *Kernel) AllocExtent(e *Env, nblocks uint32) (uint32, cap.Capability, er
 			start = next
 			continue
 		}
-		guard := k.Auth.Mint(diskResource(start, nblocks), cap.Read|cap.Write|cap.Grant)
-		k.extents = append(k.extents, extent{owner: e.ID, start: start, nblocks: nblocks})
+		name := k.bindingName(start)
+		guard := k.Auth.Mint(name, cap.Read|cap.Write|cap.Grant)
+		k.extents = append(k.extents, extent{owner: e.ID, start: start, nblocks: nblocks, name: name})
 		k.Stats.acct(e.ID).Extents++
 		k.trace(ktrace.KindExtentAlloc, e.ID, uint64(start), uint64(nblocks), 0)
 		return start, guard, nil
@@ -68,20 +74,20 @@ func (k *Kernel) extentConflict(start, n uint32) (bool, uint32) {
 // FreeExtent releases an extent; the capability must prove write access.
 func (k *Kernel) FreeExtent(start, nblocks uint32, guard cap.Capability) error {
 	k.charge(8)
-	if guard.Resource != diskResource(start, nblocks) || !k.Auth.Check(guard, cap.Write) {
+	i := k.findExtent(start, nblocks)
+	if i < 0 {
+		return fmt.Errorf("aegis: extent %d+%d not allocated", start, nblocks)
+	}
+	x := k.extents[i]
+	if guard.Resource != x.name || !k.Auth.Check(guard, cap.Write) {
 		return fmt.Errorf("aegis: capability check failed for extent %d+%d", start, nblocks)
 	}
-	for i, x := range k.extents {
-		if x.start == start && x.nblocks == nblocks {
-			k.extents = append(k.extents[:i], k.extents[i+1:]...)
-			if a := k.Stats.acct(x.owner); a.Extents > 0 {
-				a.Extents--
-			}
-			k.trace(ktrace.KindExtentFree, x.owner, uint64(start), uint64(nblocks), 0)
-			return nil
-		}
+	k.extents = append(k.extents[:i], k.extents[i+1:]...)
+	if a := k.Stats.acct(x.owner); a.Extents > 0 {
+		a.Extents--
 	}
-	return fmt.Errorf("aegis: extent %d+%d not allocated", start, nblocks)
+	k.trace(ktrace.KindExtentFree, x.owner, uint64(start), uint64(nblocks), 0)
+	return nil
 }
 
 // checkExtentAccess validates a block access against an extent capability.
@@ -90,7 +96,9 @@ func (k *Kernel) checkExtentAccess(start, nblocks, off uint32, guard cap.Capabil
 	if off >= nblocks {
 		return fmt.Errorf("aegis: block offset %d outside extent of %d", off, nblocks)
 	}
-	if guard.Resource != diskResource(start, nblocks) || !k.Auth.Check(guard, need) {
+	// The extent must still be allocated and the capability must name
+	// its binding, not an earlier one over the same blocks.
+	if i := k.findExtent(start, nblocks); i < 0 || guard.Resource != k.extents[i].name || !k.Auth.Check(guard, need) {
 		return fmt.Errorf("aegis: extent capability check failed")
 	}
 	return nil
@@ -108,7 +116,7 @@ func (k *Kernel) DiskRead(start, nblocks, off uint32, extCap cap.Capability, fra
 	if int(frame) >= len(k.frames) || !k.frames[frame].bound {
 		return fmt.Errorf("aegis: disk read into unallocated frame %d", frame)
 	}
-	if frameCap.Resource != uint64(frame) || !k.Auth.Check(frameCap, cap.Write) {
+	if !k.frameCapOK(frame, frameCap, cap.Write) {
 		return fmt.Errorf("aegis: frame capability check failed")
 	}
 	k.trace(ktrace.KindDiskRead, k.cur, uint64(start+off), uint64(frame), 0)
@@ -128,7 +136,7 @@ func (k *Kernel) DiskWrite(start, nblocks, off uint32, extCap cap.Capability, fr
 	if int(frame) >= len(k.frames) || !k.frames[frame].bound {
 		return fmt.Errorf("aegis: disk write from unallocated frame %d", frame)
 	}
-	if frameCap.Resource != uint64(frame) || !k.Auth.Check(frameCap, cap.Read) {
+	if !k.frameCapOK(frame, frameCap, cap.Read) {
 		return fmt.Errorf("aegis: frame capability check failed")
 	}
 	k.trace(ktrace.KindDiskWrite, k.cur, uint64(start+off), uint64(frame), 0)

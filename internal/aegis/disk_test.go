@@ -57,7 +57,7 @@ func TestExtentCapabilityChecks(t *testing.T) {
 	}
 
 	// Forged extent capability.
-	forged := cap.Capability{Resource: diskResource(start, 10), Rights: cap.Read | cap.Write}
+	forged := cap.Capability{Resource: guard.Resource, Rights: cap.Read | cap.Write}
 	if err := k.DiskRead(start, 10, 3, forged, frame, fguard); err == nil {
 		t.Error("forged extent capability accepted")
 	}
@@ -70,7 +70,7 @@ func TestExtentCapabilityChecks(t *testing.T) {
 		t.Error("capability accepted for different extent")
 	}
 	// Bad frame capability.
-	badf := cap.Capability{Resource: uint64(frame), Rights: cap.Write}
+	badf := cap.Capability{Resource: fguard.Resource, Rights: cap.Write}
 	if err := k.DiskRead(start, 10, 0, guard, frame, badf); err == nil {
 		t.Error("forged frame capability accepted")
 	}
@@ -94,7 +94,7 @@ func TestFreeExtentChecks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := cap.Capability{Resource: diskResource(start, 5), Rights: cap.Write}
+	bad := cap.Capability{Resource: guard.Resource, Rights: cap.Write}
 	if err := k.FreeExtent(start, 5, bad); err == nil {
 		t.Error("forged free accepted")
 	}

@@ -12,13 +12,31 @@ import (
 )
 
 // frameBinding records the secure binding on one physical frame: who
-// allocated it and the self-authenticating capability that guards it.
+// allocated it and the resource name its capabilities were minted over.
 // Access checks happen at *bind* time (installing a TLB mapping), never on
 // individual memory references — that is the essence of a secure binding.
 type frameBinding struct {
 	owner EnvID
 	bound bool
-	guard cap.Capability
+	name  uint64 // bindingName at allocation
+}
+
+// bindingName names a new secure binding on a frame or an extent: a
+// per-kernel serial, never reused, above the frame number or the
+// extent's first block. Capabilities are minted over the name, not the
+// bare resource, so one that outlived its binding — the page freed,
+// repossessed or reclaimed with its environment, the extent freed — is
+// refused even after the same frame or blocks are bound again. Frames
+// and extents draw from one serial, so their names never collide.
+func (k *Kernel) bindingName(index uint32) uint64 {
+	k.bindings++
+	return k.bindings<<32 | uint64(index)
+}
+
+// frameCapOK reports whether c carries need on frame's live binding.
+// The caller has checked that the frame is bound.
+func (k *Kernel) frameCapOK(frame uint32, c cap.Capability, need cap.Rights) bool {
+	return c.Resource == k.frames[frame].name && k.Auth.Check(c, need)
 }
 
 // Kernel is the Aegis exokernel for one machine.
@@ -34,9 +52,10 @@ type Kernel struct {
 	// where cur changes; Env.Code itself is immutable after NewEnv.
 	curCode isa.Code
 
-	frames  []frameBinding
-	extents []extent
-	stlb    *stlb
+	frames   []frameBinding
+	extents  []extent
+	bindings uint64 // bindingName serial
+	stlb     *stlb
 	// STLBEnabled can be cleared for the ablation benchmark.
 	STLBEnabled bool
 
@@ -168,7 +187,7 @@ func (k *Kernel) NewEnv(code isa.Code) (*Env, error) {
 		Code:     code,
 		SaveArea: frame << hw.PageShift,
 	}
-	k.frames[frame] = frameBinding{owner: id, bound: true, guard: k.Auth.Mint(uint64(frame), cap.Read|cap.Write)}
+	k.frames[frame] = frameBinding{owner: id, bound: true, name: k.bindingName(frame)}
 	k.envs = append(k.envs, e)
 	k.slices = append(k.slices, id)
 	k.Stats.acct(id).Frames++ // the save area is a held frame
@@ -273,7 +292,8 @@ func (k *Kernel) Kill(e *Env, t TrapInfo) { k.kill(e, t) }
 // network endpoints and their downloaded code, and the save area. This is
 // the deallocation half of the environment life cycle; resources another
 // environment obtained *capabilities* to are gone with the frames — a
-// capability names a binding, and the bindings no longer exist.
+// capability names a binding (bindingName), and the bindings no longer
+// exist, so it stays refused when the frames are allocated again.
 func (k *Kernel) DestroyEnv(e *Env) {
 	if !e.Dead {
 		k.kill(e, TrapInfo{})

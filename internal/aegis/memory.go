@@ -32,8 +32,9 @@ func (k *Kernel) AllocPage(e *Env, frame uint32) (uint32, cap.Capability, error)
 		}
 		f = frame
 	}
-	guard := k.Auth.Mint(uint64(f), cap.Read|cap.Write|cap.Grant)
-	k.frames[f] = frameBinding{owner: e.ID, bound: true, guard: guard}
+	name := k.bindingName(f)
+	guard := k.Auth.Mint(name, cap.Read|cap.Write|cap.Grant)
+	k.frames[f] = frameBinding{owner: e.ID, bound: true, name: name}
 	k.Stats.acct(e.ID).Frames++
 	k.trace(ktrace.KindFrameBind, e.ID, uint64(f), 0, 0)
 	return f, guard, nil
@@ -50,7 +51,7 @@ func (k *Kernel) DeallocPage(frame uint32, c cap.Capability) error {
 	if int(frame) >= len(k.frames) || !k.frames[frame].bound {
 		return fmt.Errorf("aegis: frame %d not allocated", frame)
 	}
-	if c.Resource != uint64(frame) || !k.Auth.Check(c, cap.Write) {
+	if !k.frameCapOK(frame, c, cap.Write) {
 		return fmt.Errorf("aegis: capability check failed for frame %d", frame)
 	}
 	owner := k.frames[frame].owner
@@ -86,7 +87,7 @@ func (k *Kernel) InstallMapping(e *Env, va uint32, frame uint32, perms uint8, c 
 	if perms&hw.PermWrite != 0 {
 		need |= cap.Write
 	}
-	if c.Resource != uint64(frame) || !k.Auth.Check(c, need) {
+	if !k.frameCapOK(frame, c, need) {
 		return fmt.Errorf("aegis: capability check failed mapping frame %d", frame)
 	}
 	entry := hw.TLBEntry{

@@ -128,7 +128,7 @@ func (k *Kernel) InstallASH(ep *Endpoint, code isa.Code, frame uint32, guard cap
 	if int(frame) >= len(k.frames) || !k.frames[frame].bound {
 		return nil, fmt.Errorf("aegis: ASH sandbox frame %d not allocated", frame)
 	}
-	if guard.Resource != uint64(frame) || !k.Auth.Check(guard, cap.Write) {
+	if !k.frameCapOK(frame, guard, cap.Write) {
 		return nil, fmt.Errorf("aegis: capability check failed for ASH sandbox")
 	}
 	// Verification cost is paid once, at download time: one pass.

@@ -123,7 +123,7 @@ func TestASHInstallVerification(t *testing.T) {
 	}
 	// A forged sandbox capability is rejected.
 	ok := asm.MustAssemble("pktlen t0\nhalt\n")
-	forged := cap.Capability{Resource: uint64(frame), Rights: cap.Write}
+	forged := cap.Capability{Resource: guard.Resource, Rights: cap.Write}
 	if _, err := k.InstallASH(ep, ok, frame, forged); err == nil {
 		t.Error("forged sandbox capability accepted")
 	}

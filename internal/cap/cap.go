@@ -8,13 +8,23 @@
 // A capability is an unforgeable token over (resource, rights): the kernel
 // mints it with a keyed MAC and later validates presented tokens without a
 // lookup table. Applications may pass capabilities to each other to grant
-// access — the kernel does not track or care who holds one.
+// access — the kernel does not track or care who holds one. The resource
+// is whatever name the kernel mints over; Aegis names one secure binding
+// (a per-kernel serial plus the frame or extent), so a capability dies
+// with the binding it was minted for even when the resource is reused.
+//
+// Every Check recomputes the full HMAC-SHA256 over (resource, rights) and
+// compares it in constant time; nothing is cached. An Authority keeps one
+// keyed MAC state and reuses it for every call, so minting and checking
+// allocate nothing. That makes an Authority single-owner: it belongs to
+// one kernel and is not safe for concurrent use.
 package cap
 
 import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
+	"hash"
 )
 
 // Rights is a bitmask of access rights carried by a capability.
@@ -36,28 +46,32 @@ type Capability struct {
 }
 
 // Authority mints and validates capabilities. The kernel owns one; its key
-// never leaves it.
+// never leaves it. The MAC state and its input and output buffers are
+// reused across calls, so an Authority must not be used from more than one
+// goroutine at a time.
 type Authority struct {
-	key [32]byte
+	mac hash.Hash // HMAC-SHA256 keyed once at construction
+	in  [9]byte   // resource (little-endian) ‖ rights
+	sum [sha256.Size]byte
 }
 
 // NewAuthority creates an authority from seed material. A zero seed is
 // valid (deterministic tests); real kernels pass entropy.
 func NewAuthority(seed []byte) *Authority {
-	a := &Authority{}
-	sum := sha256.Sum256(append([]byte("exokernel-cap-v1"), seed...))
-	a.key = sum
-	return a
+	key := sha256.Sum256(append([]byte("exokernel-cap-v1"), seed...))
+	return &Authority{mac: hmac.New(sha256.New, key[:])}
 }
 
+// sign returns the truncated HMAC-SHA256 of (resource, rights). The input
+// and output live in the Authority: a stack buffer would escape through
+// the hash.Hash interface and cost an allocation per call.
 func (a *Authority) sign(resource uint64, rights Rights) [16]byte {
-	mac := hmac.New(sha256.New, a.key[:])
-	var buf [9]byte
-	binary.LittleEndian.PutUint64(buf[:8], resource)
-	buf[8] = byte(rights)
-	mac.Write(buf[:])
+	a.mac.Reset()
+	binary.LittleEndian.PutUint64(a.in[:8], resource)
+	a.in[8] = byte(rights)
+	a.mac.Write(a.in[:])
 	var out [16]byte
-	copy(out[:], mac.Sum(nil))
+	copy(out[:], a.mac.Sum(a.sum[:0]))
 	return out
 }
 

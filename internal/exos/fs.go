@@ -3,7 +3,7 @@ package exos
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"exokernel/internal/aegis"
 	"exokernel/internal/cap"
@@ -97,7 +97,9 @@ type CachePolicy interface {
 	Evict() (uint32, bool)
 }
 
-// cacheLine is one cached block.
+// cacheLine is one cache frame and the state of the block it holds.
+// NewBufCache makes one per frame; a line is reused, never reallocated,
+// as its frame moves from block to block.
 type cacheLine struct {
 	frame uint32
 	dirty bool
@@ -110,7 +112,8 @@ type BufCache struct {
 	dev    BlockDev
 	policy CachePolicy
 	lines  map[uint32]*cacheLine
-	free   []uint32 // unused cache frames
+	free   []*cacheLine // clean lines caching no block
+	sorted []uint32     // dirtyBlocks' reusable result
 	// onEvictDirty, when set, runs before a dirty victim would be written
 	// back in place — the journal installs its commit here so an eviction
 	// can never put an uncommitted metadata block on disk out of order.
@@ -123,10 +126,16 @@ type BufCache struct {
 
 // NewBufCache builds a cache over the given frames.
 func NewBufCache(mem *hw.PhysMem, clock *hw.Clock, dev BlockDev, frames []uint32, policy CachePolicy) *BufCache {
+	pool := make([]cacheLine, len(frames))
+	free := make([]*cacheLine, len(frames))
+	for i, f := range frames {
+		pool[i].frame = f
+		free[i] = &pool[i]
+	}
 	return &BufCache{
 		mem: mem, clock: clock, dev: dev, policy: policy,
-		lines: make(map[uint32]*cacheLine),
-		free:  append([]uint32(nil), frames...),
+		lines: make(map[uint32]*cacheLine, len(frames)),
+		free:  free,
 	}
 }
 
@@ -150,45 +159,46 @@ func (c *BufCache) get(b uint32, transient bool) (uint32, error) {
 		return ln.frame, nil
 	}
 	c.Misses++
-	frame, err := c.frameFor()
+	ln, err := c.lineFor()
 	if err != nil {
 		return 0, err
 	}
-	if err := c.dev.ReadBlock(b, frame); err != nil {
-		c.free = append(c.free, frame)
+	if err := c.dev.ReadBlock(b, ln.frame); err != nil {
+		c.free = append(c.free, ln)
 		return 0, err
 	}
-	c.lines[b] = &cacheLine{frame: frame}
+	c.lines[b] = ln
 	c.policy.Touched(b, transient)
-	return frame, nil
+	return ln.frame, nil
 }
 
-// frameFor finds a free cache frame, evicting if necessary.
-func (c *BufCache) frameFor() (uint32, error) {
-	if len(c.free) > 0 {
-		f := c.free[len(c.free)-1]
-		c.free = c.free[:len(c.free)-1]
-		return f, nil
+// lineFor finds a clean line with no block, evicting if necessary.
+func (c *BufCache) lineFor() (*cacheLine, error) {
+	if n := len(c.free); n > 0 {
+		ln := c.free[n-1]
+		c.free = c.free[:n-1]
+		return ln, nil
 	}
 	victim, ok := c.policy.Evict()
 	if !ok {
-		return 0, fmt.Errorf("exos: buffer cache empty but no free frame")
+		return nil, fmt.Errorf("exos: buffer cache empty but no free frame")
 	}
 	ln := c.lines[victim]
 	if ln.dirty && c.onEvictDirty != nil {
 		if err := c.onEvictDirty(); err != nil {
-			return 0, err
+			return nil, err
 		}
 	}
 	if ln.dirty {
 		c.Writebacks++
 		if err := c.dev.WriteBlock(victim, ln.frame); err != nil {
-			return 0, err
+			return nil, err
 		}
+		ln.dirty = false
 	}
 	delete(c.lines, victim)
 	c.policy.Removed(victim)
-	return ln.frame, nil
+	return ln, nil
 }
 
 // markDirty flags a resident block as modified.
@@ -202,16 +212,18 @@ func (c *BufCache) markDirty(b uint32) {
 // order. Sorted so the on-disk write order — and therefore the set of
 // crash states a power failure can expose — is a deterministic function
 // of the dirty set, never of map iteration order; the crash-point
-// exploration test depends on this.
+// exploration test depends on this. The slice is reused: it is valid
+// until the next call, so a caller must consume it without re-entering
+// the cache (Sync and Journal.commit only write blocks back).
 func (c *BufCache) dirtyBlocks() []uint32 {
-	var bs []uint32
+	c.sorted = c.sorted[:0]
 	for b, ln := range c.lines {
 		if ln.dirty {
-			bs = append(bs, b)
+			c.sorted = append(c.sorted, b)
 		}
 	}
-	sort.Slice(bs, func(i, j int) bool { return bs[i] < bs[j] })
-	return bs
+	slices.Sort(c.sorted)
+	return c.sorted
 }
 
 // Sync writes back every dirty block, in ascending block order.
@@ -234,9 +246,9 @@ func (c *BufCache) TakeFrame() (uint32, error) {
 	if len(c.free) == 0 {
 		return 0, fmt.Errorf("exos: no free cache frame to take")
 	}
-	f := c.free[len(c.free)-1]
+	ln := c.free[len(c.free)-1]
 	c.free = c.free[:len(c.free)-1]
-	return f, nil
+	return ln.frame, nil
 }
 
 // --- Policies -------------------------------------------------------------

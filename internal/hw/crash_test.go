@@ -216,3 +216,91 @@ func TestMachineRebootPreservesClockAndDisk(t *testing.T) {
 		}
 	}
 }
+
+// Flush retires write-cache buffers for reuse. A buffer that once held
+// block 1's write and now holds block 2's must not reach back into block
+// 1: the platter keeps what was flushed there.
+func TestDiskRecycledBufferNeverAliases(t *testing.T) {
+	m := NewMachine(DEC5000)
+	frame, _ := m.Phys.AllocFrame()
+	writeBlockBytes(t, m, 1, frame, []byte("first"))
+	if err := m.Disk.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	writeBlockBytes(t, m, 2, frame, []byte("second"))
+	if err := m.Disk.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := string(m.Disk.Peek(1)[:6]); got != "first\x00" {
+		t.Errorf("block 1 on platter = %q after its buffer was reused", got)
+	}
+	if got := string(m.Disk.Peek(2)[:6]); got != "second" {
+		t.Errorf("block 2 on platter = %q", got)
+	}
+	if err := m.Disk.ReadBlock(1, m.Phys, frame); err != nil {
+		t.Fatal(err)
+	}
+	if got := string(m.Phys.Page(frame)[:6]); got != "first\x00" {
+		t.Errorf("block 1 reads back %q after its buffer was reused", got)
+	}
+}
+
+// Crash retires buffers too, whichever fate each cached write meets. Over
+// enough seeds both fates occur for both crashes; in every combination
+// block 1 keeps exactly what the first crash left on the platter.
+func TestDiskRecycledBufferAcrossCrash(t *testing.T) {
+	zero := make([]byte, 6)
+	var fates [2][2]int // [crash][kept]
+	for seed := uint64(0); seed < 16; seed++ {
+		m := NewMachine(DEC5000)
+		frame, _ := m.Phys.AllocFrame()
+		writeBlockBytes(t, m, 1, frame, []byte("first"))
+		kept1, _ := m.Disk.Crash(seed)
+		m.Disk.PowerOn()
+		want1 := zero
+		if kept1 == 1 {
+			want1 = []byte("first\x00")
+		}
+		writeBlockBytes(t, m, 2, frame, []byte("second"))
+		kept2, _ := m.Disk.Crash(seed * 7)
+		m.Disk.PowerOn()
+		want2 := zero
+		if kept2 == 1 {
+			want2 = []byte("second")
+		}
+		fates[0][kept1]++
+		fates[1][kept2]++
+		if got := m.Disk.Peek(1)[:6]; !bytes.Equal(got, want1) {
+			t.Errorf("seed %d: block 1 on platter = %q, want %q", seed, got, want1)
+		}
+		if got := m.Disk.Peek(2)[:6]; !bytes.Equal(got, want2) {
+			t.Errorf("seed %d: block 2 on platter = %q, want %q", seed, got, want2)
+		}
+	}
+	for c, f := range fates {
+		if f[0] == 0 || f[1] == 0 {
+			t.Errorf("crash %d: fates lost=%d kept=%d; want both", c+1, f[0], f[1])
+		}
+	}
+}
+
+// A warm write → Flush cycle reuses its write-cache buffers and its
+// sorted-order scratch: no allocation.
+func TestDiskWriteFlushAllocs(t *testing.T) {
+	m := NewMachine(DEC5000)
+	frame, _ := m.Phys.AllocFrame()
+	cycle := func() {
+		for _, b := range []uint32{9, 3, 5, 1} {
+			if err := m.Disk.WriteBlock(b, m.Phys, frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.Disk.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("write/Flush cycle allocates %v times", n)
+	}
+}

@@ -3,7 +3,7 @@ package hw
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"exokernel/internal/fault"
 )
@@ -58,7 +58,12 @@ type Disk struct {
 	// charged at WriteBlock time (write-through timing, write-back
 	// durability); Flush charges the barrier.
 	wcache map[uint32][]byte
-	dead   bool // power failed; every operation errors until PowerOn
+	// spare holds write-cache buffers that Flush and Crash have retired;
+	// WriteBlock reuses them before allocating. order is cachedBlocks'
+	// reusable result. Both are simulator economy only.
+	spare [][]byte
+	order []uint32
+	dead  bool // power failed; every operation errors until PowerOn
 
 	// Cost parameters in cycles (documented like hw/costs.go).
 	CostFixed   uint64 // controller + rotational average
@@ -215,7 +220,12 @@ func (d *Disk) WriteBlock(b uint32, mem *PhysMem, frame uint32) error {
 	d.Writes++
 	blk, ok := d.wcache[b]
 	if !ok {
-		blk = make([]byte, DiskBlockSize)
+		if n := len(d.spare); n > 0 {
+			blk = d.spare[n-1]
+			d.spare = d.spare[:n-1]
+		} else {
+			blk = make([]byte, DiskBlockSize)
+		}
 		d.wcache[b] = blk
 	}
 	copy(blk, mem.Page(frame))
@@ -242,20 +252,29 @@ func (d *Disk) Flush() error {
 	for _, b := range d.cachedBlocks() {
 		d.access(b)
 		copy(d.block(b), d.wcache[b])
-		delete(d.wcache, b)
+		d.retire(b)
 		d.FlushedBlocks++
 	}
 	return nil
 }
 
-// cachedBlocks returns the write-cache keys in ascending order.
+// retire drops block b's cached write and keeps its buffer for reuse.
+// Every buffer is fully overwritten by the WriteBlock that takes it, so
+// no old contents can surface.
+func (d *Disk) retire(b uint32) {
+	d.spare = append(d.spare, d.wcache[b])
+	delete(d.wcache, b)
+}
+
+// cachedBlocks returns the write-cache keys in ascending order. The
+// slice is reused: it is valid until the next call.
 func (d *Disk) cachedBlocks() []uint32 {
-	bs := make([]uint32, 0, len(d.wcache))
+	d.order = d.order[:0]
 	for b := range d.wcache {
-		bs = append(bs, b)
+		d.order = append(d.order, b)
 	}
-	sort.Slice(bs, func(i, j int) bool { return bs[i] < bs[j] })
-	return bs
+	slices.Sort(d.order)
+	return d.order
 }
 
 // PowerOff fails the power between I/O boundaries (the "any simulated
@@ -292,7 +311,7 @@ func (d *Disk) Crash(seed uint64) (kept, lost int) {
 		} else {
 			lost++
 		}
-		delete(d.wcache, b)
+		d.retire(b)
 	}
 	d.CrashKept += uint64(kept)
 	d.CrashLost += uint64(lost)
